@@ -1,68 +1,61 @@
-"""Hot kernels for the lattice counting sweep.
+"""Exact per-shell counting for the lattice sweep.
 
 The membership test ``||q1*a1 + q2*a2 - gamma|| <= psi(max(|q1|,|q2|))`` is
-pure integer arithmetic on mantissas mod 2**scale_bits.  The mantissas are
-split into 32-bit limbs so the sweep over all |q| <= Q runs in int64
-without overflow and without any floating point in the decision.
-
-Backend selection (env var KGLAB_KERNEL or the ``backend`` argument):
-
-* ``numba``  - @njit row kernel, the default when numba imports
-* ``numpy``  - vectorized limb arithmetic, pure-numpy fallback
-* ``python`` - big-integer reference sweep in shell order (independent
-               loop structure; used as the cross-check oracle in tests)
+integer arithmetic on mantissas mod M = 2**scale_bits: a vector with
+v = (q1*m1 + q2*m2 - mg) mod M scores [v <= T] + [v >= M - T and T > 0]
+against its shell threshold T, so a tie v = M/2 = T counts twice.
+``count_by_shell_raw`` counts each shell with ``floor_sum`` in O(log M)
+big-integer steps; ``count_python`` walks every vector and is its oracle.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_VAR = "KGLAB_KERNEL"
-LIMB_BITS = 32
-LIMB_MASK = (1 << LIMB_BITS) - 1
 
-try:
-    import numba
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i<n} floor((a*i + b) / m) for n, a, b >= 0 and m >= 1, by the
+    Euclid-like reduction of the AtCoder Library (atcoder/math.hpp)."""
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    numba = None
-    HAVE_NUMBA = False
 
+def count_by_shell_raw(m1: int, m2: int, mg: int, scale_bits: int,
+                       thresholds: list[int], Q: int) -> np.ndarray:
+    """Per-shell solution counts; index n holds the shell-n contribution.
 
-def available_backends() -> list[str]:
-    out = ["numpy", "python"]
-    if HAVE_NUMBA:
-        out.insert(0, "numba")
+    Shell n is the rows q1 = +-n (step m2, 2n+1 terms) and the columns
+    q2 = +-n (step m1, 2n-1 terms).  For K terms v_k = (b + a*k) mod M and
+    0 <= T < M, [v >= U] sums to floor_sum(b + M - U) - floor_sum(b), so
+    the score [v < T+1] + [v >= M-T] sums to
+    K + floor_sum(K, M, a, b + T) - floor_sum(K, M, a, b + M - T - 1).
+    """
+    M = 1 << scale_bits
+    m1, m2, mg = m1 % M, m2 % M, mg % M
+    out = np.zeros(Q + 1, dtype=np.int64)
+    for n in range(1, Q + 1):
+        T = thresholds[n]
+        c = 0
+        for K, a, b in ((2 * n + 1, m2, n * (m1 - m2) - mg),
+                        (2 * n + 1, m2, -n * (m1 + m2) - mg),
+                        (2 * n - 1, m1, (1 - n) * m1 + n * m2 - mg),
+                        (2 * n - 1, m1, (1 - n) * m1 - n * m2 - mg)):
+            b %= M
+            c += (K + floor_sum(K, M, a, b + T)
+                  - floor_sum(K, M, a, b + M - T - 1))
+        out[n] = c
     return out
-
-
-def select_backend(backend: str | None = None) -> str:
-    name = backend or os.environ.get(ENV_VAR, "auto")
-    if name == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    if name not in ("numba", "numpy", "python"):
-        raise ValueError(f"unknown kernel backend {name!r}")
-    return name
-
-
-def to_limbs(x: int, nlimbs: int) -> list[int]:
-    return [(x >> (LIMB_BITS * i)) & LIMB_MASK for i in range(nlimbs)]
-
-
-def _limb_matrix(values: list[int], nlimbs: int) -> np.ndarray:
-    out = np.empty((len(values), nlimbs), dtype=np.int64)
-    for i, v in enumerate(values):
-        for j in range(nlimbs):
-            out[i, j] = (v >> (LIMB_BITS * j)) & LIMB_MASK
-    return out
-
-
-# -- python reference (independent loop order: shell by shell) ----------------
 
 
 def count_python(m1: int, m2: int, mg: int, scale_bits: int,
@@ -85,149 +78,3 @@ def count_python(m1: int, m2: int, mg: int, scale_bits: int,
             c += contrib(q1, n, thr) + contrib(q1, -n, thr)
         out[n] = c
     return out
-
-
-# -- shared setup --------------------------------------------------------------
-
-
-def _setup(m1: int, m2: int, mg: int, scale_bits: int, thresholds: list[int],
-           Q: int):
-    if scale_bits % LIMB_BITS:
-        raise ValueError(f"kernel path requires scale_bits % {LIMB_BITS} == 0")
-    if Q >= 1 << 30:
-        raise ValueError("Q too large for the limb kernels")
-    nl = scale_bits // LIMB_BITS
-    one = 1 << scale_bits
-    m1, m2, mg = m1 % one, m2 % one, mg % one
-    # v at (q1, q2=-Q) for each row q1
-    row_start = _limb_matrix(
-        [(q1 * m1 - mg - Q * m2) % one for q1 in range(-Q, Q + 1)], nl)
-    m2_limbs = np.array(to_limbs(m2, nl), dtype=np.int64)
-    t_limbs = _limb_matrix([thresholds[n] for n in range(Q + 1)], nl)
-    t2_limbs = _limb_matrix(
-        [(one - thresholds[n]) % one for n in range(Q + 1)], nl)
-    t_pos = np.array([thresholds[n] > 0 for n in range(Q + 1)], dtype=np.bool_)
-    return nl, row_start, m2_limbs, t_limbs, t2_limbs, t_pos
-
-
-# -- numpy backend --------------------------------------------------------------
-
-
-def _lex_le(v: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """v <= t limb-lexicographically along the last axis."""
-    gt = np.zeros(v.shape[:-1], dtype=bool)
-    lt = np.zeros(v.shape[:-1], dtype=bool)
-    for j in range(v.shape[-1] - 1, -1, -1):
-        vj, tj = v[..., j], t[..., j]
-        gt |= ~lt & (vj > tj)
-        lt |= ~gt & (vj < tj)
-    return ~gt
-
-
-def count_numpy(m1: int, m2: int, mg: int, scale_bits: int,
-                thresholds: list[int], Q: int, chunk: int = 64) -> np.ndarray:
-    nl, row_start, m2_limbs, t_limbs, t2_limbs, t_pos = _setup(
-        m1, m2, mg, scale_bits, thresholds, Q)
-    K = 2 * Q + 1
-    k = np.arange(K, dtype=np.int64)
-    km2 = k[:, None] * m2_limbs[None, :]
-    for j in range(nl - 1):  # normalize limbs once
-        carry = km2[:, j] >> LIMB_BITS
-        km2[:, j] &= LIMB_MASK
-        km2[:, j + 1] += carry
-    km2[:, nl - 1] &= LIMB_MASK
-
-    abs_q2 = np.abs(k - Q)
-    out = np.zeros(Q + 1, dtype=np.int64)
-    q1s = np.arange(-Q, Q + 1, dtype=np.int64)
-    for lo in range(0, K, chunk):
-        hi = min(lo + chunk, K)
-        rows = row_start[lo:hi]
-        v = rows[:, None, :] + km2[None, :, :]
-        for j in range(nl - 1):
-            carry = v[:, :, j] >> LIMB_BITS
-            v[:, :, j] &= LIMB_MASK
-            v[:, :, j + 1] += carry
-        v[:, :, nl - 1] &= LIMB_MASK
-        n = np.maximum(np.abs(q1s[lo:hi])[:, None], abs_q2[None, :])
-        le = _lex_le(v, t_limbs[n])
-        ge = _lex_le(t2_limbs[n], v) & t_pos[n]
-        if lo <= Q < hi:  # mask the origin
-            le[Q - lo, Q] = False
-            ge[Q - lo, Q] = False
-        nf = n.ravel()
-        out += np.bincount(nf[le.ravel()], minlength=Q + 1)
-        out += np.bincount(nf[ge.ravel()], minlength=Q + 1)
-    return out
-
-
-# -- numba backend ---------------------------------------------------------------
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _count_rows_numba(row_start, m2_limbs, t_limbs, t2_limbs, t_pos, Q, out):
-        nl = row_start.shape[1]
-        v = np.empty(nl, dtype=np.int64)
-        for ri in range(row_start.shape[0]):
-            q1 = ri - Q
-            aq1 = -q1 if q1 < 0 else q1
-            for j in range(nl):
-                v[j] = row_start[ri, j]
-            for k in range(2 * Q + 1):
-                if k > 0:
-                    carry = 0
-                    for j in range(nl):
-                        t = v[j] + m2_limbs[j] + carry
-                        v[j] = t & LIMB_MASK
-                        carry = t >> LIMB_BITS
-                q2 = k - Q
-                if q1 == 0 and q2 == 0:
-                    continue
-                aq2 = -q2 if q2 < 0 else q2
-                n = aq1 if aq1 >= aq2 else aq2
-                c = 0
-                # v <= T[n] ?
-                le = True
-                for j in range(nl - 1, -1, -1):
-                    if v[j] != t_limbs[n, j]:
-                        le = v[j] < t_limbs[n, j]
-                        break
-                if le:
-                    c += 1
-                # v >= 2^s - T[n] (only meaningful when T[n] > 0)
-                if t_pos[n]:
-                    ge = True
-                    for j in range(nl - 1, -1, -1):
-                        if v[j] != t2_limbs[n, j]:
-                            ge = v[j] > t2_limbs[n, j]
-                            break
-                    if ge:
-                        c += 1
-                if c:
-                    out[n] += c
-
-
-def count_numba(m1: int, m2: int, mg: int, scale_bits: int,
-                thresholds: list[int], Q: int) -> np.ndarray:
-    _, row_start, m2_limbs, t_limbs, t2_limbs, t_pos = _setup(
-        m1, m2, mg, scale_bits, thresholds, Q)
-    out = np.zeros(Q + 1, dtype=np.int64)
-    _count_rows_numba(row_start, m2_limbs, t_limbs, t2_limbs, t_pos, Q, out)
-    return out
-
-
-_BACKENDS = {
-    "python": count_python,
-    "numpy": count_numpy,
-    "numba": count_numba,
-}
-
-
-def count_by_shell_raw(m1: int, m2: int, mg: int, scale_bits: int,
-                       thresholds: list[int], Q: int,
-                       backend: str | None = None) -> np.ndarray:
-    """Per-shell solution counts; index n holds the shell-n contribution."""
-    name = select_backend(backend)
-    return _BACKENDS[name](m1, m2, mg, scale_bits, thresholds, Q)

@@ -10,6 +10,7 @@ byte-identical bodies regardless of worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -225,8 +226,21 @@ class Output:
         if self.path == "-":
             sys.stdout.write(data)
         else:
-            with open(self.path, "w", newline="") as fh:
-                fh.write(data)
+            write_atomic(self.path, data)
+
+
+def write_atomic(path: str, data: str) -> None:
+    """Write data to a temp file beside path, then os.replace it onto path,
+    so a crash mid-write leaves the old file (or none), never a torn one."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # -- count ------------------------------------------------------------------------
@@ -239,13 +253,13 @@ _COUNT_KEYS = ["gamma", "psi", "Q", "trials", "seed", "delta_log",
 
 
 def _count_trial(payload) -> tuple[int, list[int]]:
-    (gamma_spec, psi_spec, q_max, scale_bits, base_seed, trial, backend) = payload
+    (gamma_spec, psi_spec, q_max, scale_bits, base_seed, trial) = payload
     gamma = parse_gamma(gamma_spec)
     psi = parse_psi(psi_spec)
     seed = derive_seed(base_seed, trial)
     rng = RngStream(seed)
     alpha = rng.sample_torus_point(scale_bits)
-    counts = count_by_shell(alpha, q_max, gamma, psi, scale_bits, backend)
+    counts = count_by_shell(alpha, q_max, gamma, psi, scale_bits)
     return trial, [int(x) for x in counts]
 
 
@@ -293,7 +307,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     done = _load_checkpoint(ckpt_path, cfg_hash) if ckpt_path else {}
 
     todo = [t for t in range(trials) if t not in done]
-    payloads = [(args.gamma, args.psi, q_max, scale_bits, seed, t, None)
+    payloads = [(args.gamma, args.psi, q_max, scale_bits, seed, t)
                 for t in todo]
     workers = int(args.workers)
     results: dict[int, list[int]] = dict(done)
@@ -400,8 +414,7 @@ def cmd_overlap(args: argparse.Namespace) -> int:
     if args.out == "-":
         print(doc)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(doc + "\n")
+        write_atomic(args.out, doc + "\n")
     return EXIT_OK if record["status"] == "ok" else EXIT_FAIL
 
 
@@ -492,8 +505,7 @@ def cmd_cf(args: argparse.Namespace) -> int:
     if args.out == "-":
         print(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        write_atomic(args.out, text + "\n")
     return EXIT_OK
 
 
@@ -523,8 +535,7 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
     if args.out == "-":
         print(text)
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        write_atomic(args.out, text + "\n")
     return EXIT_OK
 
 
@@ -663,8 +674,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _bind_window_value(argv: list[str]) -> list[str]:
+    """Rewrite '--window -3,4:1,2' as '--window=-3,4:1,2': argparse takes a
+    separate value that starts with '-' for a flag and exits 2."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--window" and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"--window={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _bind_window_value(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -49,8 +49,8 @@ def check_precision_range(Q: int, scale_bits: int) -> None:
 
 
 def count_by_shell(alpha: tuple[FixedPoint, FixedPoint], Q: int, gamma,
-                   psi: ApproxFunction, scale_bits: int | None = None,
-                   backend: str | None = None) -> np.ndarray:
+                   psi: ApproxFunction,
+                   scale_bits: int | None = None) -> np.ndarray:
     """Shell-indexed counts: entry n is the number of (p, q) solutions with
     |q| = n.  Sum of entries 1..Q is N(alpha, Q, gamma)."""
     if Q < 1:
@@ -64,15 +64,14 @@ def count_by_shell(alpha: tuple[FixedPoint, FixedPoint], Q: int, gamma,
     m2 = (a2.mantissa << (s - a2.scale_bits)) % (1 << s)
     mg = _gamma_mantissa(gamma, s)
     thr = psi_mantissas(psi, Q, s)
-    return count_by_shell_raw(m1, m2, mg, s, thr, Q, backend)
+    return count_by_shell_raw(m1, m2, mg, s, thr, Q)
 
 
 def count_solutions(alpha: tuple[FixedPoint, FixedPoint], Q: int, gamma,
-                    psi: ApproxFunction, scale_bits: int | None = None,
-                    backend: str | None = None) -> int:
+                    psi: ApproxFunction, scale_bits: int | None = None) -> int:
     """N(alpha, Q, gamma): solutions of ||q.alpha - gamma|| <= psi(|q|)
     over 0 < |q| <= Q, counting admissible integers p."""
-    return int(count_by_shell(alpha, Q, gamma, psi, scale_bits, backend).sum())
+    return int(count_by_shell(alpha, Q, gamma, psi, scale_bits).sum())
 
 
 def main_term(psi: ApproxFunction, Q: int, mode: str = "exact-shell") -> Fraction:

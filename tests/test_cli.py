@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from kglab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECISION, main, parse_gamma,
-                       parse_psi, parse_qlist, parse_set1d)
+from kglab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECISION, Output, main,
+                       parse_gamma, parse_psi, parse_qlist, parse_set1d)
 from kglab.psifunc import Clamp, PowerLaw, TablePsi, Window
 from kglab.surd import QuadraticSurd
 
@@ -118,7 +118,7 @@ class TestCount:
         meta = json.loads(full.decode().split("\r\n")[0][2:])
         from kglab.cli import _count_trial
 
-        trial0 = _count_trial(("sqrt:2", "pow:1,3/4", 20, 192, 1, 0, None))
+        trial0 = _count_trial(("sqrt:2", "pow:1,3/4", 20, 192, 1, 0))
         with open(ckpt, "w") as fh:
             fh.write(json.dumps({"config_hash": meta["config_hash"]}) + "\n")
             fh.write(json.dumps({"trial": 0, "counts": trial0[1]}) + "\n")
@@ -174,6 +174,15 @@ class TestOtherCommands:
         rec = json.loads(body.decode().strip().split("\n")[1])
         assert rec["variance"] == "4/25"  # 1/5 * (1 - 1/5)
 
+    @pytest.mark.parametrize("window", ["-1,1:1,1", "-2,1:2,-3"])
+    def test_variance_window_negative_u(self, tmp_path, window):
+        # a separate value starting with '-' must not be read as a flag
+        argv = ["variance", "--gamma", "sqrt:2", "--psi", "const:1/10"]
+        spaced = run(tmp_path, *argv, "--window", window)
+        joined = run(tmp_path, *argv, f"--window={window}")
+        assert spaced[0] == EXIT_OK
+        assert spaced == joined
+
     def test_gcdsum_primorials(self, tmp_path):
         code, body = run(tmp_path, "gcdsum", "--primorials", "4", "--k", "2")
         assert code == EXIT_OK
@@ -200,3 +209,15 @@ class TestOtherCommands:
         assert lines[1] == "d,e,r,q,threshold,overlap,bound,status,rel"
         meta = json.loads(lines[0][2:])
         assert meta["summary"]["violations"] == 0
+
+
+class TestOutput:
+    def test_failed_write_keeps_existing_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"previous run\r\n")
+        out = Output(str(path), "csv", {"tool": "kglab"}, columns=("a",))
+        out.row(values=["\ud800"])  # a lone surrogate cannot be encoded
+        with pytest.raises(UnicodeEncodeError):
+            out.finish()
+        assert path.read_bytes() == b"previous run\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

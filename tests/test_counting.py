@@ -2,8 +2,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kglab._kernels import available_backends, select_backend
+from kglab import counting
+from kglab._kernels import count_by_shell_raw, count_python
 from kglab.counting import (CountReport, chi_term, count_by_shell,
                             count_solutions, main_term, make_report,
                             normalized_error)
@@ -17,13 +19,21 @@ PSI_HALF = PowerLaw(F(1, 2), F(0))
 PSI_34 = PowerLaw(F(1), F(3, 4))
 
 # N(alpha, 500) for gamma = sqrt2, psi = q^(-3/4), seed-0 alpha; frozen
-# after the python reference and both limb kernels agreed at scales 192
-# and 256 (the independent recount)
+# after the shell-walk oracle and two independent vector-sweep kernels
+# agreed at scales 192 and 256 (the independent recount); the floor-sum
+# kernel must reproduce it
 GOLDEN_Q500_SEED0 = 30259
 
 
 def alpha_for(seed, scale=192):
     return RngStream(seed).sample_torus_point(scale)
+
+
+def oracle_by_shell(*args):
+    """count_by_shell with the shell-walk oracle in place of the kernel."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "count_by_shell_raw", count_python)
+        return count_by_shell(*args)
 
 
 def test_zero_psi():
@@ -55,19 +65,15 @@ def test_golden_count_and_scale_stability():
     assert n256 == GOLDEN_Q500_SEED0
 
 
-def test_backends_agree():
+def test_kernel_matches_oracle():
     a = alpha_for(3)
-    per_backend = {}
-    for b in available_backends():
-        per_backend[b] = count_by_shell(a, 40, SQRT2, PSI_34, backend=b)
-    ref = per_backend.pop("python")
-    for b, got in per_backend.items():
-        assert np.array_equal(ref, got), b
+    assert np.array_equal(count_by_shell(a, 40, SQRT2, PSI_34),
+                          oracle_by_shell(a, 40, SQRT2, PSI_34))
 
 
-def test_backends_agree_on_ties_and_windows():
+def test_kernel_matches_oracle_on_ties_and_windows():
     # rational alpha engineered to sit exactly on thresholds, psi with
-    # zero stretches: the tie/zero handling must be identical per backend
+    # zero stretches: the tie/zero handling must match the oracle
     a = (FixedPoint.from_fraction(F(1, 4), 64),
          FixedPoint.from_fraction(F(5, 8), 64))
     cases = [
@@ -75,10 +81,29 @@ def test_backends_agree_on_ties_and_windows():
         Window(PSI_HALF, 4, 11),
     ]
     for psi in cases:
-        per_backend = [count_by_shell(a, 15, F(3, 7), psi, backend=b)
-                       for b in available_backends()]
-        for got in per_backend[1:]:
-            assert np.array_equal(per_backend[0], got)
+        assert np.array_equal(count_by_shell(a, 15, F(3, 7), psi),
+                              oracle_by_shell(a, 15, F(3, 7), psi))
+
+
+@st.composite
+def raw_sweeps(draw):
+    """Raw kernel inputs biased to ties: mantissas at 0, M/4, M/2, 5M/8 and
+    thresholds 0 and M/2, at scales that are not all multiples of 32."""
+    s = draw(st.sampled_from([64, 80, 96, 128, 192]))
+    M = 1 << s
+    mantissa = st.one_of(st.sampled_from([0, M // 4, M // 2, 5 * M // 8]),
+                         st.integers(0, M - 1))
+    threshold = st.one_of(st.sampled_from([0, M // 8, M // 4, M // 2]),
+                          st.integers(0, M // 2))
+    Q = draw(st.integers(1, 25))
+    return (draw(mantissa), draw(mantissa), draw(mantissa), s,
+            [0] + draw(st.lists(threshold, min_size=Q, max_size=Q)), Q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_sweeps())
+def test_kernel_matches_oracle_raw(args):
+    assert np.array_equal(count_by_shell_raw(*args), count_python(*args))
 
 
 def test_incremental_shells_match_recount():
@@ -87,7 +112,7 @@ def test_incremental_shells_match_recount():
     for seed in range(10):
         a = alpha_for(seed + 100)
         counts = count_by_shell(a, 200, SQRT2, PSI_34)
-        ref = count_by_shell(a, 200, SQRT2, PSI_34, backend="python")
+        ref = oracle_by_shell(a, 200, SQRT2, PSI_34)
         assert np.array_equal(counts, ref)
     a = alpha_for(9)
     counts = count_by_shell(a, 60, SQRT2, PSI_34)
@@ -127,7 +152,7 @@ def test_exact_tie_rule_single_axis():
     # vectors sit at distance 1/6 or 1/3 -> 1 each
     n = count_solutions(a, 1, 0, psi)
     assert n == 2 * 2 + 6 * 1
-    ref = count_by_shell(a, 1, 0, psi, backend="python")
+    ref = oracle_by_shell(a, 1, 0, psi)
     assert n == int(ref.sum())
 
 
@@ -197,12 +222,3 @@ def test_window_psi_counts_only_window():
     assert int(counts[21:].sum()) == 0
     full = count_by_shell(a, 30, SQRT2, PSI_34)
     assert np.array_equal(counts[10:21], full[10:21])
-
-
-def test_select_backend_env(monkeypatch):
-    monkeypatch.setenv("KGLAB_KERNEL", "numpy")
-    assert select_backend() == "numpy"
-    monkeypatch.setenv("KGLAB_KERNEL", "python")
-    assert select_backend() == "python"
-    monkeypatch.delenv("KGLAB_KERNEL")
-    assert select_backend() in ("numba", "numpy")
