@@ -32,6 +32,8 @@ class CFExpansion:
 
     def quotients(self, k: int) -> list[int]:
         """a_1 .. a_k."""
+        if k < 0:
+            raise ValueError("need k >= 0")
         out = list(self.preperiod)
         while len(out) < k:
             out.extend(self.period)

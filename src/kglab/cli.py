@@ -35,7 +35,8 @@ from .torus import (TorusSet1D, is_parallel, overlap_2d,
                     overlap_2d_grid_oracle, overlap_exact_1d,
                     overlap_sweep_oracle, parallel_overlap_bound)
 from .variance import vanishing_bound_sweep, variance_full, variance_window
-from .witness import NonLiouvilleWitness, WitnessFitFailure, fit_witness
+from .witness import (ETA_MAX_DEFAULT, NonLiouvilleWitness, WitnessFitFailure,
+                      fit_witness)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -162,15 +163,12 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def apply_config(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Fill None-valued args from --config file, then from defaults."""
-    file_cfg = load_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, default in parser_defaults.items():
-        if getattr(args, key, None) is None:
-            if key in file_cfg:
-                setattr(args, key, file_cfg[key])
-            else:
-                setattr(args, key, default)
+def apply_config(args: argparse.Namespace) -> None:
+    """Fill unset flags from the --config file, then from COMMANDS."""
+    file_cfg = load_config_file(args.config) if args.config else {}
+    for key, (default, _) in COMMANDS[args.command][2].items():
+        if getattr(args, key) is None:
+            setattr(args, key, file_cfg.get(key, default))
 
 
 # -- output ------------------------------------------------------------------------
@@ -197,12 +195,18 @@ def metadata(args: argparse.Namespace, keys: list[str], **extra) -> dict:
 
 
 class Output:
-    """Single collector writing CSV or JSONL with a metadata head line."""
+    """Single collector writing CSV or JSONL with a metadata head line.
 
-    def __init__(self, path: str, fmt: str, meta: dict, columns=None) -> None:
+    Each row is one dict. CSV writes row[c] for each column, None as an
+    empty cell and floats by repr; JSONL writes the dict with sorted keys.
+    Other values (Fractions) become str() in both.
+    """
+
+    def __init__(self, path: str, fmt: str, meta: dict, columns=()) -> None:
         self.fmt = fmt
         self.buf = io.StringIO()
         self.path = path
+        self.columns = columns
         if fmt == "csv":
             self.writer = csv.writer(self.buf, lineterminator="\r\n")
             self.buf.write("# " + json.dumps(meta, sort_keys=True,
@@ -215,18 +219,29 @@ class Output:
         else:
             raise ConfigError(f"unknown format {fmt!r}")
 
-    def row(self, values=None, obj=None) -> None:
+    def row(self, row: dict) -> None:
         if self.fmt == "csv":
-            self.writer.writerow(values)
+            self.writer.writerow([row[c] for c in self.columns])
         else:
-            self.buf.write(json.dumps(obj, sort_keys=True, default=str) + "\n")
+            self.buf.write(json.dumps(row, sort_keys=True, default=str) + "\n")
 
     def finish(self) -> None:
-        data = self.buf.getvalue()
-        if self.path == "-":
-            sys.stdout.write(data)
-        else:
-            write_atomic(self.path, data)
+        emit(self.path, self.buf.getvalue())
+
+
+def emit(path: str, text: str) -> None:
+    """The one place output leaves the program: stdout for '-', else path."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        write_atomic(path, text)
+
+
+def emit_document(args: argparse.Namespace, keys: list[str],
+                  body: dict) -> None:
+    """Write one JSON document: the metadata under "meta" beside body."""
+    doc = {"meta": metadata(args, keys), **body}
+    emit(args.out, json.dumps(doc, sort_keys=True, default=str) + "\n")
 
 
 def write_atomic(path: str, data: str) -> None:
@@ -292,11 +307,12 @@ def cmd_count(args: argparse.Namespace) -> int:
     qlist = parse_qlist(args.Q)
     q_max = qlist[-1]
     trials = int(args.trials)
+    workers = int(args.workers)
     seed = int(args.seed)
     scale_bits = int(args.scale_bits)
     delta_log = Fraction(args.delta_log)
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
+    if trials < 1 or workers < 1:
+        raise ConfigError("trials and workers must be >= 1")
     parse_gamma(args.gamma)
     psi = parse_psi(args.psi)
     check_precision_range(q_max, scale_bits)
@@ -305,47 +321,38 @@ def cmd_count(args: argparse.Namespace) -> int:
     cfg_hash = _config_hash(args, semantic)
     ckpt_path = None if args.out == "-" else args.out + ".ckpt"
     done = _load_checkpoint(ckpt_path, cfg_hash) if ckpt_path else {}
-
-    todo = [t for t in range(trials) if t not in done]
     payloads = [(args.gamma, args.psi, q_max, scale_bits, seed, t)
-                for t in todo]
-    workers = int(args.workers)
-    results: dict[int, list[int]] = dict(done)
-    ckpt_fh = open(ckpt_path, "w") if ckpt_path else None
-    if ckpt_fh:
-        ckpt_fh.write(json.dumps({"config_hash": cfg_hash}) + "\n")
-        for t in sorted(done):
-            ckpt_fh.write(json.dumps({"trial": t, "counts": done[t]}) + "\n")
-        ckpt_fh.flush()
-    if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for trial, counts in pool.map(_count_trial, payloads):
-                results[trial] = counts
-                if ckpt_fh:
-                    ckpt_fh.write(json.dumps({"trial": trial,
-                                              "counts": counts}) + "\n")
-                    ckpt_fh.flush()
-    else:
-        for payload in payloads:
-            trial, counts = _count_trial(payload)
+                for t in range(trials) if t not in done]
+    results: dict[int, list[int]] = {}
+    with contextlib.ExitStack() as stack:
+        ckpt = stack.enter_context(open(ckpt_path, "w")) if ckpt_path else None
+
+        def record(trial: int, counts: list[int]) -> None:
             results[trial] = counts
-            if ckpt_fh:
-                ckpt_fh.write(json.dumps({"trial": trial,
-                                          "counts": counts}) + "\n")
-                ckpt_fh.flush()
-    if ckpt_fh:
-        ckpt_fh.close()
+            if ckpt:
+                rec = {"trial": trial, "counts": counts}
+                ckpt.write(json.dumps(rec) + "\n")
+                ckpt.flush()
+
+        if ckpt:
+            ckpt.write(json.dumps({"config_hash": cfg_hash}) + "\n")
+        for t in sorted(done):
+            record(t, done[t])
+        run = map
+        if workers > 1 and len(payloads) > 1:
+            run = stack.enter_context(ProcessPoolExecutor(workers)).map
+        for trial, counts in run(_count_trial, payloads):
+            record(trial, counts)
 
     meta = metadata(args, _COUNT_KEYS, config_hash=cfg_hash, base_seed=seed,
                     seed_derivation="splitmix64(seed ^ salt + (trial+1)*gamma)")
     out = Output(args.out, args.format, meta, columns=CountReport.CSV_COLUMNS)
     for trial in range(trials):
-        counts = results[trial]
-        arr = np.array(counts, dtype=np.int64)
+        arr = np.array(results[trial], dtype=np.int64)
         for Q in qlist:
             rep = make_report(derive_seed(seed, trial), arr, Q, psi, delta_log,
                               args.gamma, args.psi)
-            out.row(values=rep.csv_row(), obj=rep.json_dict())
+            out.row(rep.json_dict())
     out.finish()
     if ckpt_path and os.path.exists(ckpt_path):
         os.remove(ckpt_path)
@@ -408,13 +415,7 @@ def cmd_overlap(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("need either --set-a/--set-b or --q/--r")
 
-    meta = metadata(args, _OVERLAP_KEYS)
-    doc = json.dumps({"meta": meta, "result": record}, sort_keys=True,
-                     default=str)
-    if args.out == "-":
-        print(doc)
-    else:
-        write_atomic(args.out, doc + "\n")
+    emit_document(args, _OVERLAP_KEYS, {"result": record})
     return EXIT_OK if record["status"] == "ok" else EXIT_FAIL
 
 
@@ -437,11 +438,11 @@ def cmd_variance(args: argparse.Namespace) -> int:
             raise ConfigError("window syntax: q1,q2:r1,r2") from exc
         rep = variance_window(tuple(parse_vec(u_spec)), tuple(parse_vec(v_spec)),
                               psi, gamma, scale_bits)
-        out.row(obj=rep.json_dict())
+        out.row(rep.json_dict())
     else:
         for Q in parse_qlist(args.Q):
             rep = variance_full(Q, psi, gamma, scale_bits)
-            out.row(obj=rep.json_dict())
+            out.row(rep.json_dict())
     out.finish()
     return EXIT_OK
 
@@ -459,20 +460,16 @@ def cmd_gcdsum(args: argparse.Namespace) -> int:
     out = Output(args.out, args.format, meta,
                  columns=("q", "sum", "normalized"))
     if args.primorials:
-        for q in primorials(int(args.primorials)):
-            total, norm = gcd_power_sum(q, k, cap)
-            out.row(values=[q, total, str(norm)],
-                    obj={"q": q, "sum": total, "normalized": str(norm)})
+        rows = [(q, *gcd_power_sum(q, k, cap))
+                for q in primorials(int(args.primorials))]
     elif args.q_max:
-        for q, total, norm in gcd_power_sum_sweep(int(args.q_max), k, cap):
-            out.row(values=[q, total, str(norm)],
-                    obj={"q": q, "sum": total, "normalized": str(norm)})
+        rows = gcd_power_sum_sweep(int(args.q_max), k, cap)
     elif args.q:
-        total, norm = gcd_power_sum(int(args.q), k, cap)
-        out.row(values=[int(args.q), total, str(norm)],
-                obj={"q": int(args.q), "sum": total, "normalized": str(norm)})
+        rows = [(int(args.q), *gcd_power_sum(int(args.q), k, cap))]
     else:
         raise ConfigError("need one of --q, --q-max, --primorials")
+    for q, total, norm in rows:
+        out.row({"q": q, "sum": total, "normalized": norm})
     out.finish()
     return EXIT_OK
 
@@ -493,19 +490,13 @@ def cmd_cf(args: argparse.Namespace) -> int:
     terms = int(args.terms)
     quots = cf.quotients(terms)
     convs = convergents(cf.a0, quots)
-    doc = {
-        "meta": metadata(args, _CF_KEYS),
+    emit_document(args, _CF_KEYS, {
         "a0": cf.a0,
         "preperiod": list(cf.preperiod),
         "period": list(cf.period),
         "quotients": [str(a) for a in quots],
         "convergents": [{"p": str(p), "q": str(q)} for p, q in convs],
-    }
-    text = json.dumps(doc, sort_keys=True, default=str)
-    if args.out == "-":
-        print(text)
-    else:
-        write_atomic(args.out, text + "\n")
+    })
     return EXIT_OK
 
 
@@ -525,17 +516,8 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
     for side, s in (("above", float(t) + 0.1), ("below", float(t) - 0.1)):
         probes[side] = {"s": s,
                         "partial_sum": hausdorff_partial_sum(psi, s, limit)}
-    doc = {
-        "meta": metadata(args, _HAUSDORFF_KEYS),
-        "t": str(t),
-        "dim": str(dim),
-        "probes": probes,
-    }
-    text = json.dumps(doc, sort_keys=True, default=str)
-    if args.out == "-":
-        print(text)
-    else:
-        write_atomic(args.out, text + "\n")
+    emit_document(args, _HAUSDORFF_KEYS,
+                  {"t": str(t), "dim": str(dim), "probes": probes})
     return EXIT_OK
 
 
@@ -567,14 +549,7 @@ def cmd_vanishing_sweep(args: argparse.Namespace) -> int:
     cols = ("d", "e", "r", "q", "threshold", "overlap", "bound", "status", "rel")
     out = Output(args.out, args.format, meta, columns=cols)
     for row in rows:
-        vals = [row.d, row.e, row.r, row.q, row.threshold, str(row.overlap),
-                "" if row.bound is None else str(row.bound), row.status,
-                row.rel]
-        out.row(values=vals, obj={
-            "d": row.d, "e": row.e, "r": row.r, "q": row.q,
-            "threshold": row.threshold, "overlap": str(row.overlap),
-            "bound": None if row.bound is None else str(row.bound),
-            "status": row.status, "rel": row.rel})
+        out.row(vars(row))  # SweepRow fields, named as the columns
     out.finish()
     return EXIT_OK if summary.ok() else EXIT_FAIL
 
@@ -582,95 +557,53 @@ def cmd_vanishing_sweep(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--config", default=None, help="key=value config file")
-    sp.add_argument("--out", default=None, help="output path or - for stdout")
-    sp.add_argument("--format", default=None, choices=("csv", "jsonl"))
-    sp.add_argument("--scale-bits", dest="scale_bits", default=None)
+# Each subcommand: handler, help and {key: (default, help)} for every flag,
+# spelled --key with '_' as '-'. The parser leaves every flag None, so
+# apply_config can tell an unset flag from a --config value.
+_COMMON = {"config": (None, "key=value config file"),
+           "out": ("-", "output path or - for stdout"),
+           "scale_bits": (str(DEFAULT_SCALE_BITS), None)}
+_ROWS = {**_COMMON, "format": ("csv", None)}  # row-writing commands
 
-
-_DEFAULTS_COMMON = {"out": "-", "format": "csv",
-                    "scale_bits": str(DEFAULT_SCALE_BITS)}
+COMMANDS = {
+    "count": (cmd_count, "counting-function experiments", {
+        **_ROWS, "gamma": ("sqrt:2", None), "psi": ("pow:1,3/4", None),
+        "Q": ("100", "height or comma list"), "trials": ("1", None),
+        "seed": ("0", None), "delta_log": ("1/2", None),
+        "workers": (str(os.cpu_count() or 1), None)}),
+    "overlap": (cmd_overlap, "single overlap record", {
+        **_COMMON, "gamma": (None, None), "psi": (None, None),
+        "q": (None, "vector q1,q2"), "r": (None, "vector r1,r2"),
+        "set_a": (None, None), "set_b": (None, None),
+        "resolution": (None, None)}),
+    "variance": (cmd_variance, "variance reports over Q or a window", {
+        **_ROWS, "gamma": ("sqrt:2", None), "psi": ("pow:1/4,1/2", None),
+        "Q": ("100", "comma list of heights"),
+        "window": (None, "u1,u2:v1,v2")}),
+    "gcdsum": (cmd_gcdsum, "gcd power-sum diagnostics", {
+        **_ROWS, "q": (None, None), "q_max": (None, None), "k": ("2", None),
+        "cap": (None, "exponent cap, e.g. 3/4"), "primorials": (None, None)}),
+    "cf": (cmd_cf, "continued-fraction expansion", {
+        **_COMMON, "gamma": ("sqrt:2", None), "terms": ("10", None)}),
+    "hausdorff": (cmd_hausdorff, "critical exponent and probes", {
+        **_COMMON, "exponent": ("2", None), "coefficient": ("8", None),
+        "probe_limit": ("1000000", None)}),
+    "lemma3-sweep": (cmd_vanishing_sweep, "vanishing/bound sweep", {
+        **_ROWS, "gamma": ("sqrt:2", None), "psi": ("pow:1/4,1/2", None),
+        "Q": ("100", None), "eta_max": (str(ETA_MAX_DEFAULT), None)}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="kglab", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("count", help="counting-function experiments")
-    _add_common(sp)
-    sp.add_argument("--gamma", default=None)
-    sp.add_argument("--psi", default=None)
-    sp.add_argument("--Q", default=None, help="height or comma list")
-    sp.add_argument("--trials", default=None)
-    sp.add_argument("--seed", default=None)
-    sp.add_argument("--delta-log", dest="delta_log", default=None)
-    sp.add_argument("--workers", default=None)
-    sp.set_defaults(func=cmd_count, defaults={
-        **_DEFAULTS_COMMON, "gamma": "sqrt:2", "psi": "pow:1,3/4",
-        "Q": "100", "trials": "1", "seed": "0", "delta_log": "1/2",
-        "workers": str(os.cpu_count() or 1)})
-
-    sp = sub.add_parser("overlap", help="single overlap record")
-    _add_common(sp)
-    sp.add_argument("--gamma", default=None)
-    sp.add_argument("--psi", default=None)
-    sp.add_argument("--q", default=None, help="vector q1,q2")
-    sp.add_argument("--r", default=None, help="vector r1,r2")
-    sp.add_argument("--set-a", dest="set_a", default=None)
-    sp.add_argument("--set-b", dest="set_b", default=None)
-    sp.add_argument("--resolution", default=None)
-    sp.set_defaults(func=cmd_overlap, defaults={
-        **_DEFAULTS_COMMON, "gamma": None, "psi": None, "q": None, "r": None,
-        "set_a": None, "set_b": None, "resolution": None})
-
-    sp = sub.add_parser("variance", help="variance reports over Q or a window")
-    _add_common(sp)
-    sp.add_argument("--gamma", default=None)
-    sp.add_argument("--psi", default=None)
-    sp.add_argument("--Q", default=None, help="comma list of heights")
-    sp.add_argument("--window", default=None, help="u1,u2:v1,v2")
-    sp.set_defaults(func=cmd_variance, defaults={
-        **_DEFAULTS_COMMON, "gamma": "sqrt:2", "psi": "pow:1/4,1/2",
-        "Q": "100", "window": None})
-
-    sp = sub.add_parser("gcdsum", help="gcd power-sum diagnostics")
-    _add_common(sp)
-    sp.add_argument("--q", default=None)
-    sp.add_argument("--q-max", dest="q_max", default=None)
-    sp.add_argument("--k", default=None)
-    sp.add_argument("--cap", default=None, help="exponent cap, e.g. 3/4")
-    sp.add_argument("--primorials", default=None)
-    sp.set_defaults(func=cmd_gcdsum, defaults={
-        **_DEFAULTS_COMMON, "q": None, "q_max": None, "k": "2", "cap": None,
-        "primorials": None})
-
-    sp = sub.add_parser("cf", help="continued-fraction expansion")
-    _add_common(sp)
-    sp.add_argument("--gamma", default=None)
-    sp.add_argument("--terms", default=None)
-    sp.set_defaults(func=cmd_cf, defaults={
-        **_DEFAULTS_COMMON, "gamma": "sqrt:2", "terms": "10"})
-
-    sp = sub.add_parser("hausdorff", help="critical exponent and probes")
-    _add_common(sp)
-    sp.add_argument("--exponent", default=None)
-    sp.add_argument("--coefficient", default=None)
-    sp.add_argument("--probe-limit", dest="probe_limit", default=None)
-    sp.set_defaults(func=cmd_hausdorff, defaults={
-        **_DEFAULTS_COMMON, "exponent": "2", "coefficient": "8",
-        "probe_limit": "1000000"})
-
-    sp = sub.add_parser("lemma3-sweep", help="vanishing/bound sweep")
-    _add_common(sp)
-    sp.add_argument("--gamma", default=None)
-    sp.add_argument("--psi", default=None)
-    sp.add_argument("--Q", default=None)
-    sp.add_argument("--eta-max", dest="eta_max", default=None)
-    sp.set_defaults(func=cmd_vanishing_sweep, defaults={
-        **_DEFAULTS_COMMON, "gamma": "sqrt:2", "psi": "pow:1/4,1/2",
-        "Q": "100", "eta_max": "10"})
+    for name, (_, help_, flags) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for key, (_, flag_help) in flags.items():
+            choices = ("csv", "jsonl") if key == "format" else None
+            sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                            default=None, choices=choices, help=flag_help)
     return p
 
 
@@ -694,8 +627,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        apply_config(args, args.defaults)
-        return args.func(args)
+        apply_config(args)
+        return COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -141,12 +141,6 @@ class CountReport:
     CSV_COLUMNS = ("seed", "Q", "N", "psi_exact", "psi_paper", "chi",
                    "err_norm", "gamma_id", "psi_id")
 
-    def csv_row(self) -> list[str]:
-        err = "" if self.normalized_error is None else repr(self.normalized_error)
-        return [str(self.seed), str(self.Q), str(self.N),
-                str(self.psi_main_exact), str(self.psi_main_paper),
-                str(self.chi), err, self.gamma_id, self.psi_id]
-
     def json_dict(self) -> dict:
         return {
             "seed": self.seed,

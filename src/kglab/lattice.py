@@ -250,6 +250,8 @@ def _divisors_phi_from_spf(n: int, spf: list[int]) -> list[tuple[int, int]]:
 def gcd_power_sum_sweep(q_max: int, k: int, cap: Fraction | None = None,
                         ) -> list[tuple[int, int, Fraction]]:
     """(q, S, S/q^k) for all 2 <= q <= q_max, using one SPF sieve."""
+    if q_max < 2:
+        raise ValueError("need q_max >= 2")
     spf = spf_sieve(q_max)
     out = []
     for q in range(2, q_max + 1):
@@ -264,6 +266,8 @@ def gcd_power_sum_sweep(q_max: int, k: int, cap: Fraction | None = None,
 
 def primorials(count: int) -> list[int]:
     """First ``count`` primorials 2, 6, 30, 210, ..."""
+    if count < 1:
+        raise ValueError("need count >= 1")
     out = []
     value, p = 1, 2
     while len(out) < count:

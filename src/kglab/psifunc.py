@@ -209,6 +209,8 @@ def hausdorff_partial_sum(psi: ApproxFunction, s: float, q_max: int) -> float:
     """
     import numpy as np
 
+    if q_max < 1:
+        raise ValueError("need q_max >= 1")
     core = unwrap_power_law(psi)
     if core is None:
         raise ValueError("partial-sum probe requires a power-law family psi")

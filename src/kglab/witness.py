@@ -164,6 +164,8 @@ def fit_witness(gamma: QuadraticSurd | CFExpansion, psi: ApproxFunction,
     """
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
+    if eta_max < 1:
+        raise ValueError("eta_max must be >= 1")
     surd = _gamma_to_surd(gamma)
     if surd.is_rational:
         raise ValueError("gamma must be irrational")

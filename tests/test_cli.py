@@ -1,9 +1,12 @@
+import argparse
+import hashlib
 import json
 
 import pytest
 
-from kglab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECISION, Output, main,
-                       parse_gamma, parse_psi, parse_qlist, parse_set1d)
+from kglab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECISION, Output,
+                       build_parser, main, parse_gamma, parse_psi, parse_qlist,
+                       parse_set1d)
 from kglab.psifunc import Clamp, PowerLaw, TablePsi, Window
 from kglab.surd import QuadraticSurd
 
@@ -126,6 +129,33 @@ class TestCount:
         assert out.read_bytes() == full
         assert not ckpt.exists()  # cleaned up after a completed run
 
+    @pytest.mark.parametrize("damage", ["truncated-tail", "foreign-hash"])
+    def test_damaged_checkpoint(self, tmp_path, damage):
+        out = tmp_path / "c.csv"
+        args = ["count", "--Q", "20", "--trials", "3", "--seed", "2",
+                "--workers", "2", "--out", str(out)]
+        assert main(args) == EXIT_OK
+        full = out.read_bytes()
+        meta = json.loads(full.decode().split("\r\n")[0][2:])
+        from kglab.cli import _count_trial
+
+        trial0 = _count_trial(("sqrt:2", "pow:1,3/4", 20, 192, 2, 0))[1]
+        if damage == "truncated-tail":
+            # a run killed mid-write: the last record is cut short
+            lines = [{"config_hash": meta["config_hash"]},
+                     {"trial": 0, "counts": trial0}]
+            tail = json.dumps({"trial": 1, "counts": trial0})[:15]
+        else:
+            # another config's checkpoint: its counts must not be used
+            lines = [{"config_hash": "0" * 16}] + [
+                {"trial": t, "counts": [999] * len(trial0)} for t in range(3)]
+            tail = ""
+        ckpt = tmp_path / "c.csv.ckpt"
+        ckpt.write_text("".join(json.dumps(x) + "\n" for x in lines) + tail)
+        assert main(args) == EXIT_OK
+        assert out.read_bytes() == full
+        assert not ckpt.exists()
+
     def test_jsonl_format(self, tmp_path):
         _, body = run(tmp_path, "count", "--Q", "5", "--trials", "1",
                       "--format", "jsonl")
@@ -211,12 +241,158 @@ class TestOtherCommands:
         assert meta["summary"]["violations"] == 0
 
 
+# SHA-256 of the whole output (metadata line included) of each run, recorded
+# before the subcommands shared one output path: any byte change fails.
+# Runs ending in "--out -" write to stdout; the others get a file.
+GOLDEN = {
+    "count-csv": (
+        "count --Q 10,30 --trials 3 --seed 7 --workers 2",
+        "b67c044c69c43e208c49ad0c246201976dd63e68bb57b1df0f0b5f0429a5100e"),
+    "count-jsonl": (
+        "count --Q 10,30 --trials 3 --seed 7 --workers 2 --format jsonl",
+        "94f22a8d2d81fca71156fd3dd5c353de009598e4e0bb13fe698f7a3b4a5228fc"),
+    "count-err-empty-csv": (
+        "count --psi pow:1/100,1 --Q 3",
+        "1af26099efe861efa5deada4209a57d791fee66d6370968c6ebf9efaa36f3c89"),
+    "count-err-null-jsonl": (
+        "count --psi pow:1/100,1 --Q 3 --format jsonl",
+        "9297708bcb597f016900c00d5787d4e7d76591f99c31e9af2865be43a182efd1"),
+    "count-config": (
+        "count --config {cfg} --trials 3",
+        "699dbce1ca67eefdf45e5fc8169b6f211b4d892dd13e6b51366ccd0b6dc2a04f"),
+    "count-stdout": (
+        "count --Q 5,8 --trials 2 --out -",
+        "60d0deec8c4e4a46eb6838aad4816a0570aae6770520cdf738f89070c0f5c562"),
+    "overlap-1d": (
+        "overlap --set-a d=2,t=1/10,shift=1/12 --set-b d=1,t=1/10",
+        "78536397bb7fd10a040c060ee5c653e4e4cef784db7b1379b9dce7339d2d6e36"),
+    "overlap-2d-resolution": (
+        "overlap --q 1,0 --r 0,1 --psi const:1/10 --gamma sqrt:2 "
+        "--resolution 200",
+        "c5147d20ebc9151a7df16e59b7b28a95a84a0ef66c45172fab01052be8da61ee"),
+    "overlap-zero": (
+        "overlap --q 2,130 --r 1,65 --psi pow:1/4,1/2 --gamma sqrt:2",
+        "d7c1afd9b02d357d30fa83f13234deb7dfad6fb905960c98cc807b590fa3e6d4"),
+    "overlap-stdout": (
+        "overlap --set-a d=3,t=1/7 --set-b d=2,t=1/9 --out -",
+        "6616cd6b05ec7f9217af58e090a4714868e7493df37f8ff00d20d5b0b3600eed"),
+    "variance-q": (
+        "variance --gamma sqrt:2 --psi pow:1/4,1/2 --Q 5,10,20",
+        "9ab91e6f85585f0b63523b1eb226c0685f5915e43cac99d810ebf79d540743fd"),
+    "variance-window": (
+        "variance --psi const:1/10 --window -2,1:2,-3",
+        "a18bcf25d36a86adf2ae0b2e2fcf17e826e73be0b6bdb7160499324d730a1db7"),
+    "gcdsum-primorials": (
+        "gcdsum --primorials 5 --k 2",
+        "c7e048e9b5319119d04d22e3db436357ac4bb3e0b3a7fd2d073bdd2ae1a441bf"),
+    "gcdsum-qmax-jsonl": (
+        "gcdsum --q-max 30 --k 2 --cap 3/4 --format jsonl",
+        "f50d78f0e5ca83b0c7cc00c2221899e452685c198c241f8077a0434ec853e8da"),
+    "gcdsum-q": (
+        "gcdsum --q 360 --k 3",
+        "17d3c817a43a7c3e4aa2edb5168ab02b2ff0acd6a63f2160787c2a2c81aff6d8"),
+    "cf-sqrt2": (
+        "cf --gamma sqrt:2 --terms 6",
+        "36d92298766e555a8dfa79cdd6dbd0717efb57ead1ddf6470e4a316412e8ac02"),
+    "cf-liouville": (
+        "cf --gamma liouville:3 --terms 6",
+        "6454cd0cf5e51db7aa3dfa641945c19009e62346dbc21e1d091f8cd63890a55c"),
+    "cf-stdout": (
+        "cf --gamma sqrt:3 --terms 4 --out -",
+        "4d87b067a7a832b37fd02d9eff30ea037cec63cc24137af5fa728cdbd30dfc42"),
+    "hausdorff": (
+        "hausdorff --exponent 2 --coefficient 8 --probe-limit 1000",
+        "b1ea7e65b5dfeacafb08faa7b7a3cc198f77397b0bf127c08ec1322898dd950a"),
+    "hausdorff-stdout": (
+        "hausdorff --exponent 3 --probe-limit 500 --out -",
+        "45427997975fb1a4ad69d1e845ee49d66bc235473fc2259ca6e36b16b0d2929d"),
+    "sweep-csv": (
+        "lemma3-sweep --gamma sqrt:2 --psi pow:1/4,1/2 --Q 40",
+        "af0701f4ee40e6900f9e11da2e85c3c6bcfcb8ee765c35444da8e21de74a0f22"),
+    "sweep-jsonl": (
+        "lemma3-sweep --gamma sqrt:3 --psi pow:1/100,1/2 --Q 30 --format "
+        "jsonl",
+        "77c933aaf91a986343141cd0c249912cc6eead775ec2416a73e5225e6c75b4ce"),
+    "sweep-zero-csv": (
+        "lemma3-sweep --gamma sqrt:2 --psi pow:1/1000,1 --Q 30",
+        "ac94a33b0fe3c12acef23e1522211f3fe724530e4cc1bfa712114d7655bbaeee"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output(tmp_path, capsys, name):
+    spec, digest = GOLDEN[name]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("Q = 10,20\ntrials = 2\nseed = 5\nformat = jsonl\n")
+    argv = spec.replace("{cfg}", str(cfg)).split()
+    out = tmp_path / "out.dat"
+    if argv[-2:] != ["--out", "-"]:
+        argv += ["--out", str(out)]
+    capsys.readouterr()
+    code = main(argv)
+    if out.exists():
+        data = out.read_bytes()
+    else:
+        data = capsys.readouterr().out.encode()
+    assert code == EXIT_OK
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+# Each subcommand's options; --format exists only where rows are written.
+FLAGS = {
+    "count": {"--Q", "--config", "--delta-log", "--format", "--gamma",
+              "--out", "--psi", "--scale-bits", "--seed", "--trials",
+              "--workers"},
+    "overlap": {"--config", "--gamma", "--out", "--psi", "--q", "--r",
+                "--resolution", "--scale-bits", "--set-a", "--set-b"},
+    "variance": {"--Q", "--config", "--format", "--gamma", "--out", "--psi",
+                 "--scale-bits", "--window"},
+    "gcdsum": {"--cap", "--config", "--format", "--k", "--out",
+               "--primorials", "--q", "--q-max", "--scale-bits"},
+    "cf": {"--config", "--gamma", "--out", "--scale-bits", "--terms"},
+    "hausdorff": {"--coefficient", "--config", "--exponent", "--out",
+                  "--probe-limit", "--scale-bits"},
+    "lemma3-sweep": {"--Q", "--config", "--eta-max", "--format", "--gamma",
+                     "--out", "--psi", "--scale-bits"},
+}
+
+
+def test_flag_sets_frozen(capsys):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {o for o in sp._option_string_actions
+                  if o.startswith("--") and o != "--help"}
+           for name, sp in sub.choices.items()}
+    assert got == FLAGS
+    for name in FLAGS:
+        assert main([name, "--help"]) == EXIT_OK
+    assert main(["cf", "--format", "csv"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    "cf --terms -3",
+    "hausdorff --probe-limit 0",
+    "hausdorff --probe-limit -5",
+    "count --Q 5 --workers 0",
+    "count --Q 5 --workers -2",
+    "gcdsum --primorials 0",
+    "gcdsum --q-max 1",
+    "gcdsum --q 1",
+    "lemma3-sweep --Q 20 --eta-max 0",
+    "lemma3-sweep --Q 20 --eta-max -1",
+])
+def test_out_of_range_exits_2(tmp_path, argv):
+    code, body = run(tmp_path, *argv.split())
+    assert code == EXIT_CONFIG
+    assert body == b""
+
+
 class TestOutput:
     def test_failed_write_keeps_existing_file(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_bytes(b"previous run\r\n")
         out = Output(str(path), "csv", {"tool": "kglab"}, columns=("a",))
-        out.row(values=["\ud800"])  # a lone surrogate cannot be encoded
+        out.row({"a": "\ud800"})  # a lone surrogate cannot be encoded
         with pytest.raises(UnicodeEncodeError):
             out.finish()
         assert path.read_bytes() == b"previous run\r\n"

@@ -209,8 +209,7 @@ def test_report_roundtrip():
     counts = count_by_shell(a, 30, SQRT2, PSI_34)
     rep = make_report(123, counts, 30, PSI_34, F(1, 2), "sqrt:2", "pow:1,3/4")
     assert rep.N == int(counts.sum())
-    row = rep.csv_row()
-    assert len(row) == len(CountReport.CSV_COLUMNS)
+    assert set(CountReport.CSV_COLUMNS) <= rep.json_dict().keys()
     assert rep.json_dict()["N"] == rep.N
 
 

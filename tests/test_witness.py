@@ -56,6 +56,12 @@ def test_liouville_fit_fails_default_caps():
     assert res.worst_q == 2  # the first boosted convergent defeats all caps
 
 
+@pytest.mark.parametrize("eta_max", [0, -1])
+def test_witness_rejects_eta_max_below_one(eta_max):
+    with pytest.raises(ValueError):
+        fit_witness(SQRT2, PSI, 1000, eta_max=eta_max)
+
+
 def test_liouville_fit_fails_eta_capped():
     lio = make_liouville(3)
     res = fit_witness(lio, PSI, 10 ** 5, eta_max=3)
