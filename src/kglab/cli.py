@@ -166,7 +166,12 @@ def load_config_file(path: str) -> dict[str, str]:
 def apply_config(args: argparse.Namespace) -> None:
     """Fill unset flags from the --config file, then from COMMANDS."""
     file_cfg = load_config_file(args.config) if args.config else {}
-    for key, (default, _) in COMMANDS[args.command][2].items():
+    flags = COMMANDS[args.command][2]
+    unknown = sorted(set(file_cfg) - set(flags))
+    if unknown:
+        raise ConfigError(f"{args.config}: no {args.command} option named "
+                          + ", ".join(unknown))
+    for key, (default, _) in flags.items():
         if getattr(args, key) is None:
             setattr(args, key, file_cfg.get(key, default))
 
@@ -422,7 +427,7 @@ def cmd_overlap(args: argparse.Namespace) -> int:
 # -- variance ---------------------------------------------------------------------
 
 
-_VARIANCE_KEYS = ["gamma", "psi", "Q", "window", "scale_bits", "format"]
+_VARIANCE_KEYS = ["gamma", "psi", "Q", "window", "scale_bits"]
 
 
 def cmd_variance(args: argparse.Namespace) -> int:
@@ -561,24 +566,24 @@ def cmd_vanishing_sweep(args: argparse.Namespace) -> int:
 # spelled --key with '_' as '-'. The parser leaves every flag None, so
 # apply_config can tell an unset flag from a --config value.
 _COMMON = {"config": (None, "key=value config file"),
-           "out": ("-", "output path or - for stdout"),
-           "scale_bits": (str(DEFAULT_SCALE_BITS), None)}
-_ROWS = {**_COMMON, "format": ("csv", None)}  # row-writing commands
+           "out": ("-", "output path or - for stdout")}
+_ROWS = {**_COMMON, "format": ("csv", None)}  # commands writing CSV or JSONL
+_SCALE = {"scale_bits": (str(DEFAULT_SCALE_BITS), None)}  # commands that round
 
 COMMANDS = {
     "count": (cmd_count, "counting-function experiments", {
-        **_ROWS, "gamma": ("sqrt:2", None), "psi": ("pow:1,3/4", None),
-        "Q": ("100", "height or comma list"), "trials": ("1", None),
-        "seed": ("0", None), "delta_log": ("1/2", None),
+        **_ROWS, **_SCALE, "gamma": ("sqrt:2", None),
+        "psi": ("pow:1,3/4", None), "Q": ("100", "height or comma list"),
+        "trials": ("1", None), "seed": ("0", None), "delta_log": ("1/2", None),
         "workers": (str(os.cpu_count() or 1), None)}),
     "overlap": (cmd_overlap, "single overlap record", {
-        **_COMMON, "gamma": (None, None), "psi": (None, None),
+        **_COMMON, **_SCALE, "gamma": (None, None), "psi": (None, None),
         "q": (None, "vector q1,q2"), "r": (None, "vector r1,r2"),
         "set_a": (None, None), "set_b": (None, None),
         "resolution": (None, None)}),
-    "variance": (cmd_variance, "variance reports over Q or a window", {
-        **_ROWS, "gamma": ("sqrt:2", None), "psi": ("pow:1/4,1/2", None),
-        "Q": ("100", "comma list of heights"),
+    "variance": (cmd_variance, "JSONL variance reports over Q or a window", {
+        **_COMMON, **_SCALE, "gamma": ("sqrt:2", None),
+        "psi": ("pow:1/4,1/2", None), "Q": ("100", "comma list of heights"),
         "window": (None, "u1,u2:v1,v2")}),
     "gcdsum": (cmd_gcdsum, "gcd power-sum diagnostics", {
         **_ROWS, "q": (None, None), "q_max": (None, None), "k": ("2", None),
@@ -589,8 +594,9 @@ COMMANDS = {
         **_COMMON, "exponent": ("2", None), "coefficient": ("8", None),
         "probe_limit": ("1000000", None)}),
     "lemma3-sweep": (cmd_vanishing_sweep, "vanishing/bound sweep", {
-        **_ROWS, "gamma": ("sqrt:2", None), "psi": ("pow:1/4,1/2", None),
-        "Q": ("100", None), "eta_max": (str(ETA_MAX_DEFAULT), None)}),
+        **_ROWS, **_SCALE, "gamma": ("sqrt:2", None),
+        "psi": ("pow:1/4,1/2", None), "Q": ("100", None),
+        "eta_max": (str(ETA_MAX_DEFAULT), None)}),
 }
 
 

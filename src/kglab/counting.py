@@ -19,7 +19,7 @@ import numpy as np
 
 from ._kernels import count_by_shell_raw
 from .fixedpoint import DEFAULT_SCALE_BITS, FixedPoint, PrecisionError
-from .lattice import divisors, phi, shell_size, tau
+from .lattice import divisors, shell_size
 from .psifunc import ApproxFunction, eval_psi, psi_mantissas
 from .surd import QuadraticSurd, surd_eval
 
@@ -99,7 +99,8 @@ def main_term(psi: ApproxFunction, Q: int, mode: str = "exact-shell") -> Fractio
 def chi_term(psi: ApproxFunction, Q: int) -> Fraction:
     """Schmidt's comparison sum over 0 < |q| <= Q of psi(|q|)*tau(gcd(q)),
     accumulated per shell: the vectors of norm n and gcd d number
-    8*phi(n/d)."""
+    8*phi(n/d), so shell n weighs sum_{d|n} tau(d)*8*phi(n/d) = 8*sigma(n)
+    (tau * phi = 1 * 1 * phi = 1 * id = sigma)."""
     if Q < 1:
         raise ValueError("Q must be >= 1")
     total = Fraction(0)
@@ -107,8 +108,7 @@ def chi_term(psi: ApproxFunction, Q: int) -> Fraction:
         v = eval_psi(psi, n)
         if v == 0:
             continue
-        weight = sum(tau(d) * 8 * phi(n // d) for d in divisors(n))
-        total += v * weight
+        total += v * 8 * sum(divisors(n))
     return total
 
 

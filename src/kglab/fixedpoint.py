@@ -46,18 +46,10 @@ class FixedPoint:
         num, den = value.numerator, value.denominator
         return cls((num << scale_bits) // den, scale_bits)
 
-    @classmethod
-    def zero(cls, scale_bits: int = DEFAULT_SCALE_BITS) -> "FixedPoint":
-        return cls(0, scale_bits)
-
     # -- conversions ---------------------------------------------------
 
     def to_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 1 << self.scale_bits)
-
-    def to_float(self) -> float:
-        # report formatting only
-        return self.mantissa / float(1 << self.scale_bits)
 
     # -- exact arithmetic ----------------------------------------------
 
@@ -105,12 +97,6 @@ class FixedPoint:
 
     def __hash__(self) -> int:
         return hash(self.to_fraction())
-
-    # -- torus operations ----------------------------------------------
-
-    def frac(self) -> "FixedPoint":
-        """Representative in [0, 1): mantissa reduced mod 2**scale_bits."""
-        return FixedPoint(self.mantissa % (1 << self.scale_bits), self.scale_bits)
 
     def __repr__(self) -> str:
         return f"FixedPoint({self.mantissa}, scale_bits={self.scale_bits})"

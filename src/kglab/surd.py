@@ -81,9 +81,6 @@ class QuadraticSurd:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def conjugate(self) -> "QuadraticSurd":
-        return QuadraticSurd(self.a, -self.b, self.r, self.d)
-
     def sign(self) -> int:
         """Exact sign of the value."""
         a, b = self.a, self.b  # r > 0 after normalization
@@ -154,10 +151,6 @@ class QuadraticSurd:
         scaled = QuadraticSurd(self.a << scale_bits, self.b << scale_bits,
                                self.r, self.d)
         return Fraction(scaled.floor(), 1 << scale_bits)
-
-    def to_float(self) -> float:
-        # report formatting only
-        return float(self.to_fraction_floor(96))
 
     def __repr__(self) -> str:
         return f"QuadraticSurd(({self.a} + {self.b}*sqrt({self.d}))/{self.r})"

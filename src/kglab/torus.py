@@ -69,16 +69,6 @@ class TorusSet1D:
     def measure(self) -> Fraction:
         return 2 * self.t
 
-    def arcs(self) -> list[tuple[Fraction, Fraction]]:
-        """The d arcs as (lo, hi) with hi - lo = 2t/d (lo may be negative)."""
-        r = self.t / self.d
-        return [((self.shift + a) / self.d - r, (self.shift + a) / self.d + r)
-                for a in range(self.d)]
-
-    def contains(self, alpha: Fraction) -> bool:
-        v = (self.d * alpha - self.shift) % 1
-        return min(v, 1 - v) <= self.t
-
 
 @dataclass(frozen=True)
 class TorusSet2D:
@@ -135,18 +125,6 @@ def weight_integral(geom: OverlapGeometry) -> Fraction:
     d, D = geom.delta, geom.Delta
     # flat part 2delta * 2(Delta-delta), plus two triangles of area 2delta^2
     return 4 * d * (D - d) + 4 * d * d
-
-
-def _arc_pair_overlap(u: Fraction, r1: Fraction, r2: Fraction) -> Fraction:
-    """Overlap length of circle arcs with center distance u in [0, 1/2]."""
-    near = min(r1, u + r2) - max(-r1, u - r2)
-    far = min(r1, u - 1 + r2) - max(-r1, u - 1 - r2)
-    total = Fraction(0)
-    if near > 0:
-        total += near
-    if far > 0:
-        total += far
-    return total
 
 
 def overlap_exact_1d(A: TorusSet1D, B: TorusSet1D) -> Fraction:

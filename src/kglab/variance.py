@@ -7,6 +7,8 @@ product of measures exactly, so the variance reduces to a sum over
 parallel pairs of (overlap - product).  Parallel pairs are grouped by
 primitive direction; all 4*phi(n) direction classes of norm n share the
 same multiplier table, so each (n, d, e, sign) overlap is evaluated once.
+An order window is the same sum over its whole shells plus the vectors of
+its two end shells, so both go through one core, ``_variance``.
 """
 
 from __future__ import annotations
@@ -24,18 +26,28 @@ from .witness import NonLiouvilleWitness, vanish_threshold
 
 @dataclass(frozen=True)
 class VarianceReport:
-    """Pair-overlap sum, measure sum, and the variance decomposition."""
+    """Measure sum, variance and the variance decomposition."""
 
     label: str
-    sum_pair_overlaps: Fraction
     sum_measures: Fraction
     variance: Fraction
     diagonal: Fraction          # sum over vectors of (measure - measure^2)
-    parallel_offdiag: Fraction
-    nonparallel: Fraction       # identically 0 (independence of non-parallel pairs)
     max_measure: Fraction
     n_overlap_evals: int
     shift_error_bound: float    # evals * 2^(8 - scale_bits)
+
+    @property
+    def sum_pair_overlaps(self) -> Fraction:
+        return self.variance + self.sum_measures ** 2
+
+    @property
+    def parallel_offdiag(self) -> Fraction:
+        return self.variance - self.diagonal
+
+    @property
+    def nonparallel(self) -> Fraction:
+        """Identically 0 (independence of non-parallel pairs)."""
+        return Fraction(0)
 
     @property
     def ratio(self) -> Fraction:
@@ -88,8 +100,6 @@ def _class_sums(engine: _PairEngine, np_: int, d_lo: int, d_hi: int,
                 ) -> tuple[Fraction, Fraction]:
     """(overlap sum, product sum) over all ordered signed multiplier pairs
     of one direction class with multipliers in [d_lo, d_hi]."""
-    if d_lo > d_hi:
-        return Fraction(0), Fraction(0)
     ov = Fraction(0)
     meas_total = Fraction(0)
     for d in range(d_lo, d_hi + 1):
@@ -101,6 +111,72 @@ def _class_sums(engine: _PairEngine, np_: int, d_lo: int, d_hi: int,
     return ov, meas_total ** 2
 
 
+def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
+              boundary: list[LatticeVector]) -> VarianceReport:
+    """Exact variance of the indicator sum over the whole shells n_lo..n_hi
+    plus the explicit ``boundary`` vectors (which lie outside those shells).
+
+    Whole shells are grouped by direction class; each boundary vector is
+    paired with the whole shells and with every boundary vector.
+    """
+    def d_range(np_: int) -> tuple[int, int]:
+        # multipliers d with n_lo <= d*np_ <= n_hi
+        return -(-n_lo // np_), n_hi // np_
+
+    # whole x whole, grouped by direction class
+    variance = Fraction(0)
+    for np_ in range(1, n_hi + 1):
+        d_lo, d_hi = d_range(np_)
+        if d_lo <= d_hi:
+            ov, prod = _class_sums(engine, np_, d_lo, d_hi)
+            variance += 4 * phi(np_) * (ov - prod)
+
+    # boundary x whole (ordered pairs, hence factor 2)
+    by_dir: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for b in boundary:
+        pb, sb = b.canonical_direction()
+        by_dir.setdefault(pb, []).append((b.g, sb))
+        np_ = max(abs(pb[0]), abs(pb[1]))
+        lam_b = engine.measure(b.norm)
+        d_lo, d_hi = d_range(np_)
+        cross = Fraction(0)
+        prods = Fraction(0)
+        for e in range(d_lo, d_hi + 1):
+            cross += engine.overlap(np_, b.g, e, True)
+            cross += engine.overlap(np_, b.g, e, False)
+            prods += lam_b * 2 * engine.measure(e * np_)
+        variance += 2 * (cross - prods)
+
+    # boundary x boundary (all ordered pairs, including b with itself)
+    for pb, members in by_dir.items():
+        np_ = max(abs(pb[0]), abs(pb[1]))
+        for d1, s1 in members:
+            for d2, s2 in members:
+                ov = engine.overlap(np_, d1, d2, s1 == s2)
+                variance += ov - engine.measure(d1 * np_) * engine.measure(d2 * np_)
+
+    # measure sum, diagonal and max measure: (norm, vectors of that norm)
+    sum_measures = Fraction(0)
+    diagonal = Fraction(0)
+    max_measure = Fraction(0)
+    weighted = [(n, shell_size(n)) for n in range(n_lo, n_hi + 1)]
+    for n, k in weighted + [(b.norm, 1) for b in boundary]:
+        m = engine.measure(n)
+        sum_measures += k * m
+        diagonal += k * (m - m * m)
+        max_measure = max(max_measure, m)
+
+    return VarianceReport(
+        label=label,
+        sum_measures=sum_measures,
+        variance=variance,
+        diagonal=diagonal,
+        max_measure=max_measure,
+        n_overlap_evals=engine.evals,
+        shift_error_bound=engine.evals * 2.0 ** (8 - engine.scale_bits),
+    )
+
+
 def variance_full(Q: int, psi: ApproxFunction, gamma,
                   scale_bits: int = DEFAULT_SCALE_BITS) -> VarianceReport:
     """Exact variance of the indicator sum over all 0 < |q| <= Q.
@@ -110,56 +186,7 @@ def variance_full(Q: int, psi: ApproxFunction, gamma,
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    engine = _PairEngine(psi, gamma, scale_bits, Q)
-
-    sum_measures = Fraction(0)
-    diagonal = Fraction(0)
-    max_measure = Fraction(0)
-    for n in range(1, Q + 1):
-        m = engine.measure(n)
-        sum_measures += shell_size(n) * m
-        diagonal += shell_size(n) * (m - m * m)
-        max_measure = max(max_measure, m)
-
-    variance = Fraction(0)
-    overlaps_par = Fraction(0)
-    products_par = Fraction(0)
-    for n in range(1, Q + 1):
-        ov, prod = _class_sums(engine, n, 1, Q // n)
-        n_classes = 4 * phi(n)
-        variance += n_classes * (ov - prod)
-        overlaps_par += n_classes * ov
-        products_par += n_classes * prod
-
-    sum_pair_overlaps = sum_measures ** 2 - products_par + overlaps_par
-    return VarianceReport(
-        label=f"Q={Q}",
-        sum_pair_overlaps=sum_pair_overlaps,
-        sum_measures=sum_measures,
-        variance=variance,
-        diagonal=diagonal,
-        parallel_offdiag=variance - diagonal,
-        nonparallel=Fraction(0),
-        max_measure=max_measure,
-        n_overlap_evals=engine.evals,
-        shift_error_bound=engine.evals * 2.0 ** (8 - scale_bits),
-    )
-
-
-# -- order windows ---------------------------------------------------------------
-
-
-def _window_boundary(n: int, lo_vec: LatticeVector | None,
-                     hi_vec: LatticeVector | None) -> list[LatticeVector]:
-    """Vectors of shell n inside the order window (lo <= . <= hi)."""
-    out = []
-    for v in shell(n):
-        if lo_vec is not None and v.order_key() < lo_vec.order_key():
-            continue
-        if hi_vec is not None and v.order_key() > hi_vec.order_key():
-            continue
-        out.append(v)
-    return out
+    return _variance(f"Q={Q}", _PairEngine(psi, gamma, scale_bits, Q), 1, Q, [])
 
 
 def variance_window(u: LatticeVector, v: LatticeVector, psi: ApproxFunction,
@@ -168,90 +195,17 @@ def variance_window(u: LatticeVector, v: LatticeVector, psi: ApproxFunction,
     """Exact variance of the indicator sum over the order window u..v
     (inclusive) of the total order (norm, q1, q2).
 
-    Full inner shells are handled with the same direction-class grouping as
-    ``variance_full``; the partial shells at both ends are enumerated
-    explicitly.
+    The shells strictly between |u| and |v| are whole; the vectors of the
+    end shells that fall inside the window are the boundary.
     """
     u, v = LatticeVector(*u), LatticeVector(*v)
     if u.order_key() > v.order_key():
         raise ValueError("need u before v in the total order")
-    nu, nv = u.norm, v.norm
-    engine = _PairEngine(psi, gamma, scale_bits, nv)
-
-    if nu == nv:
-        boundary = _window_boundary(nu, u, v)
-    else:
-        boundary = _window_boundary(nu, u, None) + _window_boundary(nv, None, v)
-
-    def d_range(np_: int) -> tuple[int, int]:
-        # interior multipliers: nu < d*np_ < nv
-        return nu // np_ + 1, (nv - 1) // np_
-
-    # interior x interior, grouped
-    variance = Fraction(0)
-    for np_ in range(1, max(nv - 1, 0) + 1):
-        d_lo, d_hi = d_range(np_)
-        if d_lo > d_hi:
-            continue
-        ov, prod = _class_sums(engine, np_, d_lo, d_hi)
-        variance += 4 * phi(np_) * (ov - prod)
-
-    # boundary x interior (ordered pairs, hence factor 2)
-    for b in boundary:
-        pb, _ = b.canonical_direction()
-        np_ = max(abs(pb[0]), abs(pb[1]))
-        db = b.g
-        d_lo, d_hi = d_range(np_)
-        if d_lo > d_hi:
-            continue
-        lam_b = engine.measure(b.norm)
-        cross = Fraction(0)
-        prods = Fraction(0)
-        for e in range(d_lo, d_hi + 1):
-            cross += engine.overlap(np_, db, e, True)
-            cross += engine.overlap(np_, db, e, False)
-            prods += lam_b * 2 * engine.measure(e * np_)
-        variance += 2 * (cross - prods)
-
-    # boundary x boundary (all ordered pairs, including b with itself)
-    by_dir: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for b in boundary:
-        pb, sb = b.canonical_direction()
-        by_dir.setdefault(pb, []).append((b.g, sb))
-    for pb, members in by_dir.items():
-        np_ = max(abs(pb[0]), abs(pb[1]))
-        for d1, s1 in members:
-            for d2, s2 in members:
-                ov = engine.overlap(np_, d1, d2, s1 == s2)
-                variance += ov - engine.measure(d1 * np_) * engine.measure(d2 * np_)
-
-    # measure sums and diagonal over the whole window
-    sum_measures = Fraction(0)
-    diagonal = Fraction(0)
-    max_measure = Fraction(0)
-    for n in range(nu + 1, nv):
-        m = engine.measure(n)
-        sum_measures += shell_size(n) * m
-        diagonal += shell_size(n) * (m - m * m)
-        max_measure = max(max_measure, m)
-    for b in boundary:
-        m = engine.measure(b.norm)
-        sum_measures += m
-        diagonal += m - m * m
-        max_measure = max(max_measure, m)
-
-    return VarianceReport(
-        label=f"window[{u.q1},{u.q2}..{v.q1},{v.q2}]",
-        sum_pair_overlaps=variance + sum_measures ** 2,
-        sum_measures=sum_measures,
-        variance=variance,
-        diagonal=diagonal,
-        parallel_offdiag=variance - diagonal,
-        nonparallel=Fraction(0),
-        max_measure=max_measure,
-        n_overlap_evals=engine.evals,
-        shift_error_bound=engine.evals * 2.0 ** (8 - scale_bits),
-    )
+    boundary = [w for n in sorted({u.norm, v.norm}) for w in shell(n)
+                if u.order_key() <= w.order_key() <= v.order_key()]
+    return _variance(f"window[{u.q1},{u.q2}..{v.q1},{v.q2}]",
+                     _PairEngine(psi, gamma, scale_bits, v.norm),
+                     u.norm + 1, v.norm - 1, boundary)
 
 
 def variance_bruteforce(vectors: list[LatticeVector], psi: ApproxFunction,

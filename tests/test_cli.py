@@ -110,6 +110,17 @@ class TestCount:
         rows = body.decode().strip().split("\r\n")[2:]
         assert len(rows) == 3
 
+    def test_config_unknown_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("Q = 5\ntrails = 3\n")  # typo for trials
+        code, body = run(tmp_path, "count", "--config", str(cfg))
+        assert code == EXIT_CONFIG
+        assert body == b""
+        assert "trails" in capsys.readouterr().err
+        # a key of another subcommand is unknown here too
+        cfg.write_text("window = 1,1:1,1\n")
+        assert run(tmp_path, "count", "--config", str(cfg))[0] == EXIT_CONFIG
+
     def test_checkpoint_resume(self, tmp_path):
         out = tmp_path / "c.csv"
         args = ["count", "--Q", "20", "--trials", "2", "--seed", "1",
@@ -244,6 +255,10 @@ class TestOtherCommands:
 # SHA-256 of the whole output (metadata line included) of each run, recorded
 # before the subcommands shared one output path: any byte change fails.
 # Runs ending in "--out -" write to stdout; the others get a file.
+# variance-*, gcdsum-*, cf-* and hausdorff* were re-recorded when variance
+# lost --format and gcdsum/cf/hausdorff lost --scale-bits: only the metadata
+# line changed ("format" left the variance config echo, "scale_bits" became
+# null), the bodies are the same bytes.
 GOLDEN = {
     "count-csv": (
         "count --Q 10,30 --trials 3 --seed 7 --workers 2",
@@ -278,34 +293,34 @@ GOLDEN = {
         "6616cd6b05ec7f9217af58e090a4714868e7493df37f8ff00d20d5b0b3600eed"),
     "variance-q": (
         "variance --gamma sqrt:2 --psi pow:1/4,1/2 --Q 5,10,20",
-        "9ab91e6f85585f0b63523b1eb226c0685f5915e43cac99d810ebf79d540743fd"),
+        "28cc8f4d36e840cdb52887da069f6336b8c352893f30ff2691cd9ea974f5d92a"),
     "variance-window": (
         "variance --psi const:1/10 --window -2,1:2,-3",
-        "a18bcf25d36a86adf2ae0b2e2fcf17e826e73be0b6bdb7160499324d730a1db7"),
+        "94f9ea0979146ec1ea00b5e85fb8e2b20509c945984a0e30626efb54bb9b96f7"),
     "gcdsum-primorials": (
         "gcdsum --primorials 5 --k 2",
-        "c7e048e9b5319119d04d22e3db436357ac4bb3e0b3a7fd2d073bdd2ae1a441bf"),
+        "cc76e45cd70a81a5fa697639a5664aef043ffda09edebcd11f93cfad59ed6c05"),
     "gcdsum-qmax-jsonl": (
         "gcdsum --q-max 30 --k 2 --cap 3/4 --format jsonl",
-        "f50d78f0e5ca83b0c7cc00c2221899e452685c198c241f8077a0434ec853e8da"),
+        "4c4b56e99b01b29efb9226df0a8c7c551fc70eeea7045f55c661a72bec769d93"),
     "gcdsum-q": (
         "gcdsum --q 360 --k 3",
-        "17d3c817a43a7c3e4aa2edb5168ab02b2ff0acd6a63f2160787c2a2c81aff6d8"),
+        "7dc6912e581f5864da301059a1f9bda964e06ea4221897c639d8ac048e0e7a61"),
     "cf-sqrt2": (
         "cf --gamma sqrt:2 --terms 6",
-        "36d92298766e555a8dfa79cdd6dbd0717efb57ead1ddf6470e4a316412e8ac02"),
+        "c13042ea977663a8fa619506b17b04459f0e95eefff1ac4f8c8cf875956648fe"),
     "cf-liouville": (
         "cf --gamma liouville:3 --terms 6",
-        "6454cd0cf5e51db7aa3dfa641945c19009e62346dbc21e1d091f8cd63890a55c"),
+        "650b04b51c9209dc5a1819218f380c81f6d77e717e8b5bdb71daf072392590dd"),
     "cf-stdout": (
         "cf --gamma sqrt:3 --terms 4 --out -",
-        "4d87b067a7a832b37fd02d9eff30ea037cec63cc24137af5fa728cdbd30dfc42"),
+        "2c519ad11691809869f0ac0d1989c13d1d4860bbd24ed86e1111bb9d6f656eb6"),
     "hausdorff": (
         "hausdorff --exponent 2 --coefficient 8 --probe-limit 1000",
-        "b1ea7e65b5dfeacafb08faa7b7a3cc198f77397b0bf127c08ec1322898dd950a"),
+        "5c282c445bd5f5ae82dafb5492f1abeec7727f694fc2b1a33fcacd81864f77cd"),
     "hausdorff-stdout": (
         "hausdorff --exponent 3 --probe-limit 500 --out -",
-        "45427997975fb1a4ad69d1e845ee49d66bc235473fc2259ca6e36b16b0d2929d"),
+        "7f57ce8d856db18c73fdd1a05efcf89f45cd4cfeed2caccff19e3074c69da560"),
     "sweep-csv": (
         "lemma3-sweep --gamma sqrt:2 --psi pow:1/4,1/2 --Q 40",
         "af0701f4ee40e6900f9e11da2e85c3c6bcfcb8ee765c35444da8e21de74a0f22"),
@@ -338,20 +353,21 @@ def test_golden_output(tmp_path, capsys, name):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
-# Each subcommand's options; --format exists only where rows are written.
+# Each subcommand's options; --format exists only where CSV or JSONL can be
+# chosen, --scale-bits only where a torus shift or mantissa is rounded.
 FLAGS = {
     "count": {"--Q", "--config", "--delta-log", "--format", "--gamma",
               "--out", "--psi", "--scale-bits", "--seed", "--trials",
               "--workers"},
     "overlap": {"--config", "--gamma", "--out", "--psi", "--q", "--r",
                 "--resolution", "--scale-bits", "--set-a", "--set-b"},
-    "variance": {"--Q", "--config", "--format", "--gamma", "--out", "--psi",
+    "variance": {"--Q", "--config", "--gamma", "--out", "--psi",
                  "--scale-bits", "--window"},
     "gcdsum": {"--cap", "--config", "--format", "--k", "--out",
-               "--primorials", "--q", "--q-max", "--scale-bits"},
-    "cf": {"--config", "--gamma", "--out", "--scale-bits", "--terms"},
+               "--primorials", "--q", "--q-max"},
+    "cf": {"--config", "--gamma", "--out", "--terms"},
     "hausdorff": {"--coefficient", "--config", "--exponent", "--out",
-                  "--probe-limit", "--scale-bits"},
+                  "--probe-limit"},
     "lemma3-sweep": {"--Q", "--config", "--eta-max", "--format", "--gamma",
                      "--out", "--psi", "--scale-bits"},
 }
@@ -366,7 +382,10 @@ def test_flag_sets_frozen(capsys):
     assert got == FLAGS
     for name in FLAGS:
         assert main([name, "--help"]) == EXIT_OK
-    assert main(["cf", "--format", "csv"]) == EXIT_CONFIG
+    for argv in ("cf --format csv", "variance --format jsonl",
+                 "gcdsum --scale-bits 64", "cf --scale-bits 64",
+                 "hausdorff --scale-bits 64"):
+        assert main(argv.split()) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,6 +10,7 @@ from kglab.counting import (CountReport, chi_term, count_by_shell,
                             count_solutions, main_term, make_report,
                             normalized_error)
 from kglab.fixedpoint import FixedPoint, PrecisionError
+from kglab.lattice import divisors, phi, tau
 from kglab.psifunc import PowerLaw, TablePsi, Window, eval_psi
 from kglab.rng import RngStream
 from kglab.surd import QuadraticSurd
@@ -183,6 +184,19 @@ def test_chi_term_examples():
     # 8 primitive (tau(1)=1) + 8 with gcd 2 (tau(2)=2)
     assert chi_term(psi, 3) == v * (8 * 1 + 8 * 2)
     assert chi_term(TablePsi({}), 5) == 0
+
+
+def test_chi_shell_weight_matches_convolution():
+    # psi(n) = 2^(-16n) puts each shell weight (< 2^16) in its own 16-bit
+    # digit of chi_term, so the sigma form is checked shell by shell against
+    # the convolution sum_{d|n} tau(d) * 8 phi(n/d) it replaces.
+    Q, bits = 2000, 16
+    psi = TablePsi({n: F(1, 1 << (bits * n)) for n in range(1, Q + 1)})
+    packed = chi_term(psi, Q) * (1 << (bits * Q))
+    assert packed.denominator == 1
+    for n in range(1, Q + 1):
+        weight = (packed.numerator >> (bits * (Q - n))) & ((1 << bits) - 1)
+        assert weight == sum(tau(d) * 8 * phi(n // d) for d in divisors(n))
 
 
 def test_chi_dominates_psi_sum():

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction as F
 
@@ -160,3 +162,50 @@ def test_ratio_reported():
     assert rep.shift_error_bound < 1e-40
     d = rep.json_dict()
     assert set(d) >= {"variance", "ratio", "sum_measures", "nonparallel"}
+
+
+# SHA-256 of json.dumps(json_dict(), sort_keys=True) for full ranges and
+# order windows, recorded before the full-range and window paths shared one
+# core: any change to a report field fails.
+PSI_HALF = PowerLaw(F(1, 2), F(0))
+PSI_HALF_ROOT = PowerLaw(F(1, 2), F(1, 2))  # 1/2 at q = 1, rational at squares
+L = LatticeVector
+GOLDEN_REPORTS = {
+    "full-60": (
+        lambda: variance_full(60, PSI_ROOT, SQRT2),
+        "deeba60c78da103eb39579e7aef6b96333cd0cced4f232101916e095b39580d2"),
+    "full-100": (
+        lambda: variance_full(100, PSI_ROOT, SQRT2),
+        "57478f537224b2b71ad9a876984f8585f11622e9da9cf06d32555be15f790af8"),
+    "full-ties": (
+        lambda: variance_full(12, PSI_HALF_ROOT, F(3, 7)),
+        "ef90b9fc8882ac157e73c8e7814ff08a061b0c20eba8f7aeaaed058bae3f8e43"),
+    "window-one-shell": (
+        lambda: variance_window(L(-7, 2), L(7, -1), PSI_ROOT, SQRT2),
+        "a0191a594ecc3d1723d23ba38aac152a3c912832156d00d6f9a230aff0c5327e"),
+    "window-adjacent": (
+        lambda: variance_window(L(4, 1), L(-2, 5), PSI_ROOT, SQRT2),
+        "cc9762fc0be0304665e101a5b584221b274eca36617f97bb1be7bf2318177a9c"),
+    "window-whole-ends": (
+        lambda: variance_window(shell(10)[0], shell(15)[-1], PSI_ROOT, SQRT2),
+        "7d83e66c2ac3782c46122f8b6ab8f25fa081ccba3c11ba3084a954156d20d5d5"),
+    "window-28-shells": (
+        lambda: variance_window(L(3, -12), L(-40, 17), PSI_ROOT, SQRT2),
+        "cdaef3bf0523e12060a6c72a205b0a9adcdf2db5924be37669b9705292d3c75c"),
+    "window-negative-q1": (
+        lambda: variance_window(L(-6, 2), L(9, 9), PSI_ROOT, SQRT2),
+        "bb90219cda4b213ef7857f6496f0d6161de8f1725a96f67f0b742afdc03e80cc"),
+    "window-full-circle": (
+        lambda: variance_window(L(-3, 1), L(6, -2), PSI_HALF, F(3, 7)),
+        "34aed0878bbc32ee902ac297ed94c4aab90a9bae5782a72be788a69cfba3c883"),
+    "window-ties": (
+        lambda: variance_window(L(-1, 1), L(6, -2), PSI_HALF_ROOT, F(3, 7)),
+        "9a51f3cd8d59e522e907edd479f1d3bb1dcfe248fa09944ea344bae125abd457"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_golden_reports(name):
+    make, digest = GOLDEN_REPORTS[name]
+    text = json.dumps(make().json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
