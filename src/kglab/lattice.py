@@ -1,9 +1,9 @@
 """Z^2 enumeration by sup-norm shells, gcd/primitive structure, and exact
 divisor/gcd-sum diagnostics (tau, phi, restricted gcd-power sums).
 
-All counts are exact integers; phi and tau use trial-division
-factorization (desk scale), with a smallest-prime-factor sieve for bulk
-sweeps.
+All counts are exact integers; every multiplicative quantity (tau, phi,
+divisors, the (d, phi(n/d)) pairs behind the gcd sums) comes from one
+trial-division ``factorize`` (desk scale).
 """
 
 from __future__ import annotations
@@ -133,6 +133,18 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
+def divisor_phi_pairs(n: int) -> list[tuple[int, int]]:
+    """(d, phi(n/d)) for every divisor d of n, built prime by prime from
+    one factorization: phi(p^j) = p^j - p^(j-1) for j >= 1."""
+    pairs = [(1, 1)]
+    for p, e in factorize(n).items():
+        powers = [p ** i for i in range(e + 1)]
+        phis = [1] + [powers[j] - powers[j - 1] for j in range(1, e + 1)]
+        pairs = [(d * powers[i], ph * phis[e - i])
+                 for d, ph in pairs for i in range(e + 1)]
+    return pairs
+
+
 def primitive_shell_count(n: int) -> int:
     """Number of primitive vectors of sup-norm n: 8*phi(n).
 
@@ -142,18 +154,18 @@ def primitive_shell_count(n: int) -> int:
     return 8 * phi(n)
 
 
-def count_gcd_shell(n: int, d: int, method: str = "auto") -> int:
+def count_gcd_shell(n: int, d: int, method: str = "formula") -> int:
     """Number of vectors with sup-norm n and gcd exactly d (d | n).
 
-    'enumerate' walks the shell; 'formula' uses 8*phi(n/d) (the gcd-d
-    vectors are d times the primitive vectors of norm n/d); 'auto' uses the
-    formula, which the test suite pins against enumeration.
+    'formula' uses 8*phi(n/d) (the gcd-d vectors are d times the primitive
+    vectors of norm n/d); 'enumerate' walks the shell, and the test suite
+    pins the two against each other.
     """
     if n < 1 or d < 1 or n % d:
         raise ValueError("need d | n with n, d >= 1")
     if method == "enumerate":
         return sum(1 for v in shell(n) if v.g == d)
-    if method in ("formula", "auto"):
+    if method == "formula":
         return primitive_shell_count(n // d)
     raise ValueError(f"unknown method {method!r}")
 
@@ -186,11 +198,8 @@ def gcd_power_sum(q: int, k: int, cap: Fraction | None = None,
     """
     if q < 2 or k < 1:
         raise ValueError("need q >= 2, k >= 1")
-    total = 0
-    for dv in divisors(q):
-        if cap is not None and not _cap_holds(dv, q, cap):
-            continue
-        total += dv ** k * phi(q // dv)
+    total = sum(dv ** k * ph for dv, ph in divisor_phi_pairs(q)
+                if cap is None or _cap_holds(dv, q, cap))
     return total, Fraction(total, q ** k)
 
 
@@ -205,63 +214,12 @@ def gcd_power_sum_naive(q: int, k: int, cap: Fraction | None = None) -> int:
     return total
 
 
-def spf_sieve(limit: int) -> list[int]:
-    """Smallest prime factor table for 0..limit."""
-    spf = list(range(limit + 1))
-    i = 2
-    while i * i <= limit:
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-        i += 1
-    return spf
-
-
-def _divisors_phi_from_spf(n: int, spf: list[int]) -> list[tuple[int, int]]:
-    """(d, phi(n/d)) for all divisors d of n, via the SPF table."""
-    fact = []
-    m = n
-    while m > 1:
-        p = spf[m]
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        fact.append((p, e))
-    # phi(n/d): build divisors with exponent vectors
-    items = [(1, n)]  # (d, n/d)
-    for p, e in fact:
-        items = [(d * p ** i, cod // p ** i) for d, cod in items
-                 for i in range(e + 1)]
-    out = []
-    for d, cod in items:
-        ph = cod
-        mm = cod
-        while mm > 1:
-            p = spf[mm]
-            ph -= ph // p
-            while mm % p == 0:
-                mm //= p
-        out.append((d, ph))
-    return out
-
-
 def gcd_power_sum_sweep(q_max: int, k: int, cap: Fraction | None = None,
                         ) -> list[tuple[int, int, Fraction]]:
-    """(q, S, S/q^k) for all 2 <= q <= q_max, using one SPF sieve."""
+    """(q, S, S/q^k) from gcd_power_sum for all 2 <= q <= q_max."""
     if q_max < 2:
         raise ValueError("need q_max >= 2")
-    spf = spf_sieve(q_max)
-    out = []
-    for q in range(2, q_max + 1):
-        total = 0
-        for dv, ph in _divisors_phi_from_spf(q, spf):
-            if cap is not None and not _cap_holds(dv, q, cap):
-                continue
-            total += dv ** k * ph
-        out.append((q, total, Fraction(total, q ** k)))
-    return out
+    return [(q, *gcd_power_sum(q, k, cap)) for q in range(2, q_max + 1)]
 
 
 def primorials(count: int) -> list[int]:
@@ -271,7 +229,7 @@ def primorials(count: int) -> list[int]:
     out = []
     value, p = 1, 2
     while len(out) < count:
-        if all(p % r for r in range(2, p)):
+        if factorize(p) == {p: 1}:
             value *= p
             out.append(value)
         p += 1

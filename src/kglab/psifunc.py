@@ -211,15 +211,18 @@ def hausdorff_partial_sum(psi: ApproxFunction, s: float, q_max: int) -> float:
 
     if q_max < 1:
         raise ValueError("need q_max >= 1")
-    core = unwrap_power_law(psi)
-    if core is None:
-        raise ValueError("partial-sum probe requires a power-law family psi")
+
+    def values(f: ApproxFunction) -> np.ndarray:
+        # float mirror of eval_psi: wrappers apply innermost first
+        if isinstance(f, Clamp):
+            vals = np.minimum(values(f.inner), 0.5 / q)
+        elif isinstance(f, Window):
+            vals = np.where((q >= f.lo) & (q <= f.hi), values(f.inner), 0.0)
+        elif isinstance(f, PowerLaw):
+            vals = float(f.c0) * q ** (-float(f.a))
+        else:
+            raise ValueError("partial-sum probe requires a power-law family psi")
+        return np.minimum(vals, 0.5)
+
     q = np.arange(1, q_max + 1, dtype=np.float64)
-    vals = float(core.c0) * q ** (-float(core.a))
-    np.minimum(vals, 0.5, out=vals)
-    if isinstance(psi, Window):
-        mask = (q >= psi.lo) & (q <= psi.hi)
-        vals = np.where(mask, vals, 0.0)
-    elif isinstance(psi, Clamp):
-        np.minimum(vals, 0.5 / q, out=vals)
-    return float(np.sum(q ** 2 * (vals / q) ** (s - 1.0)))
+    return float(np.sum(q ** 2 * (values(psi) / q) ** (s - 1.0)))

@@ -12,24 +12,16 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .fixedpoint import MIN_SCALE_BITS, FixedPoint, PrecisionError
+from .lattice import factorize
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
     """Return (s, f) with n = s^2 * f and f square-free (n >= 1)."""
     s, f = 1, 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            s *= p ** (e // 2)
-            if e % 2:
-                f *= p
-        p += 1 if p == 2 else 2
-    return s, f * m
+    for p, e in factorize(n).items():
+        s *= p ** (e // 2)
+        f *= p ** (e % 2)
+    return s, f
 
 
 @dataclass(frozen=True)

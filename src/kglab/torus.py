@@ -367,12 +367,18 @@ class ParallelBoundResult:
         return self.kind == "zero"
 
 
+def lemma3_bound(pq: Fraction, pr: Fraction, d: int, e: int) -> Fraction:
+    """Lemma 3 overlap bound 4*psi(q)*psi(r) + 4*(psi(q)/d)*gcd(d, e),
+    given pq = psi(q) and pr = psi(r)."""
+    return 4 * pq * pr + 4 * (pq / d) * gcd(d, e)
+
+
 def parallel_overlap_bound(q_vec, r_vec, psi: ApproxFunction,
                            w: NonLiouvilleWitness) -> ParallelBoundResult:
     """Vanishing certificate / bound for a parallel pair with |r| < |q|.
 
     Zero when |r| exceeds the vanish threshold for d = gcd(q); otherwise
-    the bound 4*psi(q)*psi(r) + 4*(psi(q)/d)*gcd(d, e).
+    the Lemma 3 bound.
     """
     q, r = _as_vec(q_vec), _as_vec(r_vec)
     if not is_parallel(q, r):
@@ -385,6 +391,5 @@ def parallel_overlap_bound(q_vec, r_vec, psi: ApproxFunction,
     thr = vanish_threshold(w, d)
     if r.norm > thr:
         return ParallelBoundResult("zero", thr, None, d, e)
-    pq, pr = eval_psi(psi, q.norm), eval_psi(psi, r.norm)
-    value = 4 * pq * pr + 4 * (pq / d) * gcd(d, e)
+    value = lemma3_bound(eval_psi(psi, q.norm), eval_psi(psi, r.norm), d, e)
     return ParallelBoundResult("bound", thr, value, d, e)

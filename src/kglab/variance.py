@@ -20,7 +20,7 @@ from math import gcd
 from .fixedpoint import DEFAULT_SCALE_BITS
 from .lattice import LatticeVector, phi, shell, shell_size
 from .psifunc import ApproxFunction, eval_psi
-from .torus import as_shift, overlap_1d_core, overlap_2d
+from .torus import as_shift, lemma3_bound, overlap_1d_core, overlap_2d
 from .witness import NonLiouvilleWitness, vanish_threshold
 
 
@@ -271,7 +271,7 @@ def vanishing_bound_sweep(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
             pq = engine.psi_val[q_norm]
             for e in range(1, d):
                 r_norm = e * np_
-                bound = 4 * pq * engine.psi_val[r_norm] + 4 * (pq / d) * gcd(d, e)
+                bound = lemma3_bound(pq, engine.psi_val[r_norm], d, e)
                 for rel in ("same", "opp"):
                     ov = engine.overlap(np_, d, e, rel == "same")
                     if r_norm > thr:
@@ -316,8 +316,7 @@ def highdim_bound_check(q: int, r: int, psi: ApproxFunction, m: int,
         raise ValueError("need r < q")
     if m < 1:
         raise ValueError("m must be >= 1")
-    pq, pr = eval_psi(psi, q), eval_psi(psi, r)
-    base = 4 * pq * pr + 4 * (pq / q) * gcd(q, r)
+    base = lemma3_bound(eval_psi(psi, q), eval_psi(psi, r), q, r)
     return HighDimBound(base=base, m=m, value=base ** m)
 
 

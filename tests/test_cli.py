@@ -397,6 +397,8 @@ def test_flag_sets_frozen(capsys):
     "gcdsum --primorials 0",
     "gcdsum --q-max 1",
     "gcdsum --q 1",
+    "gcdsum --q-max 6 --k 0",
+    "gcdsum --q-max 6 --k -1",
     "lemma3-sweep --Q 20 --eta-max 0",
     "lemma3-sweep --Q 20 --eta-max -1",
 ])

@@ -4,8 +4,8 @@ from math import gcd
 
 import pytest
 
-from kglab.lattice import (LatticeVector, count_gcd_shell, divisors, factorize,
-                           gcd_power_sum, gcd_power_sum_naive,
+from kglab.lattice import (LatticeVector, count_gcd_shell, divisor_phi_pairs,
+                           divisors, factorize, gcd_power_sum, gcd_power_sum_naive,
                            gcd_power_sum_sweep, gcd_shell_bound_ok, order_key,
                            parallel_class, phi, primitive_shell_count,
                            primorials, shell, shell_size, tau)
@@ -131,10 +131,25 @@ def test_restricted_normalized_sum_small_sample():
         assert gcd_power_sum(q, 2, cap)[1] <= 4
 
 
+def test_divisor_phi_pairs_bruteforce():
+    for n in range(1, 501):
+        pairs = divisor_phi_pairs(n)
+        assert sorted(d for d, _ in pairs) == \
+            [d for d in range(1, n + 1) if n % d == 0]
+        for d, ph in pairs:
+            m = n // d
+            assert ph == sum(1 for j in range(1, m + 1) if gcd(j, m) == 1)
+
+
 def test_sweep_matches_single():
-    rows = gcd_power_sum_sweep(300, 2, Fraction(3, 4))
-    for q, total, norm in rows:
-        assert (total, norm) == gcd_power_sum(q, 2, Fraction(3, 4))
+    # each row against the O(q) single-q oracle, not gcd_power_sum itself
+    for k in (1, 2, 3):
+        for cap in (None, Fraction(3, 4)):
+            rows = gcd_power_sum_sweep(300, k, cap)
+            assert [q for q, _, _ in rows] == list(range(2, 301))
+            for q, total, norm in rows:
+                assert total == gcd_power_sum_naive(q, k, cap)
+                assert norm == Fraction(total, q ** k)
 
 
 def test_cube_sum_bound_sample():
