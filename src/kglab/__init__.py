@@ -16,7 +16,6 @@ from .witness import NonLiouvilleWitness, WitnessFitFailure, fit_witness, vanish
 from .lattice import LatticeVector, shell, tau, gcd_power_sum
 from .torus import (
     TorusSet1D,
-    TorusSet2D,
     measure_2d,
     overlap_2d,
     overlap_2d_grid_oracle,
@@ -54,7 +53,6 @@ __all__ = [
     "tau",
     "gcd_power_sum",
     "TorusSet1D",
-    "TorusSet2D",
     "measure_2d",
     "overlap_2d",
     "overlap_2d_grid_oracle",

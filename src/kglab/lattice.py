@@ -77,19 +77,6 @@ def shell_size(n: int) -> int:
     return 8 * n
 
 
-def parallel_class(q: LatticeVector, r_norm: int) -> list[LatticeVector]:
-    """All r with |r| = r_norm parallel to q: empty unless (|q|/gcd(q))
-    divides r_norm, in which case exactly the two sign representatives."""
-    if r_norm < 1:
-        raise ValueError("r_norm must be >= 1")
-    pnorm = q.norm // q.g
-    if r_norm % pnorm:
-        return []
-    e = r_norm // pnorm
-    p1, p2 = q.primitive
-    return [LatticeVector(e * p1, e * p2), LatticeVector(-e * p1, -e * p2)]
-
-
 # -- multiplicative helpers -------------------------------------------------
 
 

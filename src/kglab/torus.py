@@ -5,11 +5,13 @@
 
 A(d, t) is a union of d arcs of radius t/d centered at (sigma + a)/d; with
 t <= 1/2 the arcs are disjoint (up to touching endpoints), so the overlap
-of two such unions is an exact finite sum of pairwise arc overlaps.  The
-pair gaps fall into lcm(d, e) residue classes, each hit gcd(d, e) times,
-which is the residue-class identity driving ``overlap_exact_1d``; the
-independent check ``overlap_sweep_oracle`` computes the same measure by an
-endpoint sweep instead.
+of two such unions is an exact sum of pairwise arc overlaps.  Lifted to
+the line, the gaps between the arc centres of two unions form one
+arithmetic progression with step 1/lcm(d, e), each gap standing for
+gcd(d, e) arc pairs, and one arc pair overlaps in a trapezoid of four
+ramps.  ``overlap_exact_1d`` sums each ramp over the progression as one
+arithmetic series; the independent check ``overlap_sweep_oracle`` computes
+the same measure by an endpoint sweep instead.
 
 Irrational shifts enter through their fixed-point representatives, so all
 arithmetic below is exact rational arithmetic.
@@ -70,126 +72,55 @@ class TorusSet1D:
         return 2 * self.t
 
 
-@dataclass(frozen=True)
-class TorusSet2D:
-    """{alpha in T^2: ||q.alpha - shift|| <= radius}; measure 2*radius."""
-
-    q_vec: LatticeVector
-    shift: Fraction
-    radius: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q_vec", _as_vec(self.q_vec))
-        object.__setattr__(self, "shift", as_shift(self.shift))
-        object.__setattr__(self, "radius", Fraction(self.radius))
-        if not 0 <= self.radius <= HALF:
-            raise ValueError("radius must lie in [0, 1/2]")
-
-    @property
-    def measure(self) -> Fraction:
-        return 2 * self.radius
-
-
-@dataclass(frozen=True)
-class OverlapGeometry:
-    """Derived quantities of an ordered 1-D pair (A, B)."""
-
-    delta: Fraction
-    Delta: Fraction
-    g: int
-    L: int
-    shift_offset: Fraction  # (e*sigma_A - d*sigma_B) / g
-
-    @classmethod
-    def from_pair(cls, A: TorusSet1D, B: TorusSet1D) -> "OverlapGeometry":
-        g = gcd(A.d, B.d)
-        r1, r2 = A.t / A.d, B.t / B.d
-        return cls(delta=min(r1, r2), Delta=max(r1, r2), g=g,
-                   L=A.d * B.d // g,
-                   shift_offset=(B.d * A.shift - A.d * B.shift) / g)
-
-
-def weight_w(y, geom: OverlapGeometry) -> Fraction:
-    """The even piecewise-linear weight: 2*delta on [0, Delta-delta],
-    linear down to 0 at Delta+delta, zero beyond."""
-    y = abs(Fraction(y))
-    if y <= geom.Delta - geom.delta:
-        return 2 * geom.delta
-    if y <= geom.Delta + geom.delta:
-        return geom.Delta + geom.delta - y
-    return Fraction(0)
-
-
-def weight_integral(geom: OverlapGeometry) -> Fraction:
-    """Exact integral of w over the line: 4*delta*Delta."""
-    d, D = geom.delta, geom.Delta
-    # flat part 2delta * 2(Delta-delta), plus two triangles of area 2delta^2
-    return 4 * d * (D - d) + 4 * d * d
-
-
 def overlap_exact_1d(A: TorusSet1D, B: TorusSet1D) -> Fraction:
-    """lambda_1(A intersect B) via the residue-class identity.
-
-    Only the O(1) residues whose gap lands in the support of the arc-pair
-    overlap are evaluated.
-    """
+    """lambda_1(A intersect B): the trapezoid overlap of each arc pair,
+    summed over the arithmetic progression of arc-centre gaps as a few
+    ramp series in closed form (see ``overlap_1d_core``)."""
     return overlap_1d_core(A.d, A.t, A.shift, B.d, B.t, B.shift)
+
+
+def _ramp_sum(y: int, S: int, k_hi: int) -> int:
+    """Sum of r(y + k*S) over k <= k_hi: the arithmetic series of the
+    nonnegative terms, k from ceil(-y/S) up.  The term count n is
+    nonnegative when y + (k_hi + 1)*S >= 0, which holds for each ramp
+    below."""
+    k_lo = -(y // S)
+    n = k_hi - k_lo + 1
+    return n * y + S * (n * (k_lo + k_hi) // 2)
 
 
 def overlap_1d_core(d: int, t1: Fraction, s1: Fraction,
                     e: int, t2: Fraction, s2: Fraction) -> Fraction:
     """Raw-argument overlap of A(d, t1) shifted by s1 with A(e, t2) shifted
-    by s2.  The inner loop runs on plain integers over a common denominator
-    (exact; Fraction normalization is too slow for the variance sweeps that
-    call this millions of times).
+    by s2, in plain integers over the common denominator
+    CD = d*e*sd*t1d*t2d (Fraction normalization is too slow for the
+    variance sweeps that call this millions of times).
+
+    Lifted to the line, the gaps between arc centres are (Y0 + k*S)/CD for
+    every k in Z, each standing for g = gcd(d, e) arc pairs, with
+    S = CD/lcm(d, e) and Y0 = (e*s1 - d*s2)*sd*t1d*t2d.  Two arcs of radii
+    R1, R2 (over CD) at gap y overlap in the trapezoid
+    w(y) = r(y+A) - r(y+B) - r(y-B) + r(y-A), with A = R1+R2, B = |R1-R2|
+    and r = max(0, .).  Summed over the k with Y0 + k*S <= A, where the
+    last ramp vanishes, each remaining ramp is one arithmetic series.
+    The sum is exact for every t in [0, 1/2]: t = 0 gives w = 0, and the
+    arcs of A(d, 1/2) tile the circle.
     """
-    if t1 == HALF:  # full circle
-        return 2 * t2
-    if t2 == HALF:
-        return 2 * t1
-    if t1 == 0 or t2 == 0:
-        return Fraction(0)
     g = gcd(d, e)
-    L = d * e // g
     an, ad = s1.numerator, s1.denominator
     bn, bd = s2.numerator, s2.denominator
     sd = ad * bd // gcd(ad, bd)
-    # shift_offset = (e*s1 - d*s2)/g = E/(g*sd)
-    E = e * an * (sd // ad) - d * bn * (sd // bd)
     t1n, t1d = t1.numerator, t1.denominator
     t2n, t2d = t2.numerator, t2.denominator
-
-    # gap numerators N_c = c*g*sd + E over DEN = d*e*sd; radii and the
-    # unit circle over CD = DEN * t1d * t2d
-    gsd = g * sd
-    DEN = d * e * sd
     tdd = t1d * t2d
-    CD = DEN * tdd
+    S = g * sd * tdd
+    Y0 = (e * an * (sd // ad) - d * bn * (sd // bd)) * tdd
     R1 = t1n * e * sd * t2d   # (t1/d) * CD
     R2 = t2n * d * sd * t1d   # (t2/e) * CD
-
-    # window of residues c with gap distance <= r1 + r2
-    num_j = t1n * t2d * e + t2n * t1d * d
-    J = -((-num_j) // (g * t1d * t2d)) + 1
-    if 2 * J + 3 >= L:
-        cs = range(L)
-    else:
-        # the far side of the circle needs r1 + r2 >= 1/2, which would
-        # force the full-enumeration branch above
-        base = ((-E) % (L * gsd)) // gsd
-        cs = {(base + j) % L for j in range(-J, J + 1)}
-
-    total = 0
-    for c in cs:
-        M = (c * gsd + E) % DEN
-        U = min(M, DEN - M) * tdd
-        near = min(R1, U + R2) - max(-R1, U - R2)
-        if near > 0:
-            total += near
-        far = min(R1, U - CD + R2) - max(-R1, U - CD - R2)
-        if far > 0:
-            total += far
-    return Fraction(g * total, CD)
+    k_hi = (R1 + R2 - Y0) // S
+    total = (_ramp_sum(Y0 + R1 + R2, S, k_hi) - _ramp_sum(Y0 + R1 - R2, S, k_hi)
+             - _ramp_sum(Y0 + R2 - R1, S, k_hi))
+    return Fraction(g * total, d * e * sd * tdd)
 
 
 def overlap_sweep_oracle(A: TorusSet1D, B: TorusSet1D) -> Fraction:

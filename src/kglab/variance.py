@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .fixedpoint import DEFAULT_SCALE_BITS
 from .lattice import LatticeVector, phi, shell, shell_size
@@ -318,16 +317,3 @@ def highdim_bound_check(q: int, r: int, psi: ApproxFunction, m: int,
         raise ValueError("m must be >= 1")
     base = lemma3_bound(eval_psi(psi, q), eval_psi(psi, r), q, r)
     return HighDimBound(base=base, m=m, value=base ** m)
-
-
-def gcd_norm_identity(q_vec, r_vec) -> tuple[Fraction, Fraction]:
-    """For parallel q = d*P, r = e*P: gcd(d,e)/d versus gcd(|q|,|r|)/|q|.
-
-    These agree (both equal gcd(d,e)/(d)); the m = 1 consistency check
-    between the multiplier form and the norm form of the bound."""
-    q = LatticeVector(*q_vec)
-    r = LatticeVector(*r_vec)
-    d, e = q.g, r.g
-    lhs = Fraction(gcd(d, e), d)
-    rhs = Fraction(gcd(q.norm, r.norm), q.norm)
-    return lhs, rhs

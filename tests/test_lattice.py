@@ -1,14 +1,13 @@
-import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from kglab.lattice import (LatticeVector, count_gcd_shell, divisor_phi_pairs,
-                           divisors, factorize, gcd_power_sum, gcd_power_sum_naive,
+from kglab.lattice import (count_gcd_shell, divisor_phi_pairs, divisors,
+                           factorize, gcd_power_sum, gcd_power_sum_naive,
                            gcd_power_sum_sweep, gcd_shell_bound_ok, order_key,
-                           parallel_class, phi, primitive_shell_count,
-                           primorials, shell, shell_size, tau)
+                           phi, primitive_shell_count, primorials, shell,
+                           shell_size, tau)
 
 
 def brute_shell(n):
@@ -38,30 +37,6 @@ def test_total_order_separates_shells():
         last = shell(n)[-1]
         first = shell(n + 1)[0]
         assert order_key(last) < order_key(first)
-
-
-def test_parallel_class_examples():
-    q = LatticeVector(2, 4)
-    assert {(v.q1, v.q2) for v in parallel_class(q, 2)} == {(1, 2), (-1, -2)}
-    assert parallel_class(q, 3) == []
-    assert {(v.q1, v.q2) for v in parallel_class(LatticeVector(1, 0), 7)} == \
-        {(7, 0), (-7, 0)}
-
-
-def test_parallel_class_is_complete():
-    rng = random.Random(5)
-    for _ in range(200):
-        q = LatticeVector(rng.randint(-9, 9) or 1, rng.randint(-9, 9))
-        rn = rng.randint(1, 30)
-        got = {(v.q1, v.q2) for v in parallel_class(q, rn)}
-        want = set()
-        for r1 in range(-rn, rn + 1):
-            for r2 in range(-rn, rn + 1):
-                if max(abs(r1), abs(r2)) != rn or (r1, r2) == (0, 0):
-                    continue
-                if q.q1 * r2 - q.q2 * r1 == 0:
-                    want.add((r1, r2))
-        assert got == want
 
 
 def test_count_gcd_shell_formula_vs_enumeration():

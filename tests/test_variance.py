@@ -9,9 +9,8 @@ from kglab.lattice import LatticeVector, shell
 from kglab.psifunc import PowerLaw, TablePsi
 from kglab.surd import QuadraticSurd
 from kglab.torus import measure_2d, overlap_2d
-from kglab.variance import (gcd_norm_identity, highdim_bound_check,
-                            vanishing_bound_sweep, variance_bruteforce, variance_full,
-                            variance_window)
+from kglab.variance import (highdim_bound_check, vanishing_bound_sweep,
+                            variance_bruteforce, variance_full, variance_window)
 from kglab.witness import fit_witness
 
 SQRT2 = QuadraticSurd.sqrt(2)
@@ -137,23 +136,6 @@ def test_highdim_bound():
     assert highdim_bound_check(6, 4, TablePsi({}), 3).value == 0
     with pytest.raises(ValueError):
         highdim_bound_check(4, 6, psi, 2)
-
-
-def test_gcd_norm_identity_fuzz():
-    rng = random.Random(8)
-    for _ in range(1000):
-        p1 = rng.randint(-7, 7)
-        p2 = rng.randint(-7, 7)
-        if p1 == 0 and p2 == 0:
-            p1 = 1
-        from math import gcd
-
-        g = gcd(abs(p1), abs(p2))
-        p1, p2 = p1 // g, p2 // g
-        d = rng.randint(1, 20)
-        e = rng.randint(1, d)
-        lhs, rhs = gcd_norm_identity((d * p1, d * p2), (e * p1, e * p2))
-        assert lhs == rhs
 
 
 def test_ratio_reported():
