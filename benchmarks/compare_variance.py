@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Time the variance path layer by layer and check it against the oracle.
+
+Layers, at --Q (default 200) with psi = 1/4 q^-1/2 and gamma = sqrt(2):
+  core      the integer ramp sums ``overlap_1d_num`` per call, on the
+            arguments of every pair that ``variance_full(Q)`` evaluates,
+            beside the Fraction wrapper ``overlap_1d_core`` that the sweep
+            and ``overlap_exact_1d`` call, on the same pairs;
+  classes   ``_class_sums`` over every direction class (core included);
+  report    the rest of ``variance_full(Q)``: the psi table, the measure
+            sum, diagonal and maximum and the report Fractions;
+  window    one ``variance_window`` from norm 20 to norm 79, both end
+            shells cut.
+
+``variance_full`` at Q <= 3 and two order windows of norm <= 4 are
+compared with the all-pairs ``variance_bruteforce`` for four psi and four
+gamma; exits 1 on any mismatch.  --json writes the timings to a file.
+
+Usage: python benchmarks/compare_variance.py [--Q 200] [--repeats 3]
+                                             [--json PATH]
+"""
+
+import argparse
+import json
+import time
+from fractions import Fraction
+
+from kglab.lattice import LatticeVector, shell
+from kglab.psifunc import PowerLaw, TablePsi
+from kglab.surd import QuadraticSurd
+from kglab.torus import overlap_1d_core, overlap_1d_num
+from kglab import variance
+from kglab.variance import (_PairEngine, variance_bruteforce, variance_full,
+                            variance_window)
+
+SCALE = 192
+PSI = PowerLaw(Fraction(1, 4), Fraction(1, 2))
+GAMMA = QuadraticSurd.sqrt(2)
+WINDOW = (LatticeVector(3, -20), LatticeVector(-79, 41))
+ORACLE_PSIS = (PowerLaw(Fraction(1, 2), Fraction(1)),
+               PowerLaw(Fraction(1, 2), Fraction(0)),
+               TablePsi({1: Fraction(1, 3), 2: Fraction(2, 5), 3: 0,
+                         4: Fraction(1, 7), 5: Fraction(3, 7)}),
+               PSI)
+ORACLE_GAMMAS = (GAMMA, Fraction(3, 7), Fraction(0), Fraction(1, 2))
+ORACLE_WINDOWS = ((LatticeVector(1, 1), LatticeVector(3, -2)),
+                  (LatticeVector(-2, 1), LatticeVector(-4, 3)))
+
+
+def best_of(repeats: int, fn) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def core_timings(Q: int, repeats: int) -> dict:
+    """Per-call times of both core forms over the pairs of variance_full(Q)."""
+    eng = _PairEngine(PSI, GAMMA, SCALE, Q)
+    td, sn, sd = eng.td, eng.sn, eng.sd
+    num_args, frac_args = [], []
+    for np_ in range(1, Q + 1):
+        for d in range(1, Q // np_ + 1):
+            for e in range(1, d + 1):
+                for bn, s2 in ((sn, eng.shift), (eng.neg_sn, eng.neg_shift)):
+                    num_args.append((d, eng.psi_num[d * np_], td, sn,
+                                     e, eng.psi_num[e * np_], td, bn, sd))
+                    frac_args.append((d, eng.psi_val[d * np_], eng.shift,
+                                      e, eng.psi_val[e * np_], s2))
+    t_num = best_of(repeats, lambda: [overlap_1d_num(*a) for a in num_args])
+    t_frac = best_of(repeats, lambda: [overlap_1d_core(*a) for a in frac_args])
+    n = len(num_args)
+    return {"pairs": n, "core_num_us": 1e6 * t_num / n,
+            "core_fraction_us": 1e6 * t_frac / n}
+
+
+def layer_split(Q: int, repeats: int) -> tuple[float, float]:
+    """(variance_full(Q) seconds, seconds of it in ``_class_sums``) of the
+    fastest of ``repeats`` runs; the class sums are timed inside the run."""
+    inner = variance._class_sums
+    spent = [0.0]
+
+    def timed(*args):
+        t0 = time.perf_counter()
+        try:
+            return inner(*args)
+        finally:
+            spent[0] += time.perf_counter() - t0
+
+    variance._class_sums = timed
+    try:
+        runs = []
+        for _ in range(repeats):
+            spent[0] = 0.0
+            t0 = time.perf_counter()
+            variance_full(Q, PSI, GAMMA)
+            runs.append((time.perf_counter() - t0, spent[0]))
+    finally:
+        variance._class_sums = inner
+    return min(runs)
+
+
+def oracle_mismatches() -> list[str]:
+    bad = []
+    for psi in ORACLE_PSIS:
+        for gamma in ORACLE_GAMMAS:
+            cases = [(variance_full(Q, psi, gamma),
+                      [v for n in range(1, Q + 1) for v in shell(n)])
+                     for Q in (1, 2, 3)]
+            for u, v in ORACLE_WINDOWS:
+                vecs = [w for n in range(u.norm, v.norm + 1) for w in shell(n)
+                        if u.order_key() <= w.order_key() <= v.order_key()]
+                cases.append((variance_window(u, v, psi, gamma), vecs))
+            for rep, vecs in cases:
+                if rep.variance != variance_bruteforce(vecs, psi, gamma):
+                    bad.append(f"{rep.label} psi={psi.describe()} "
+                               f"gamma={gamma}")
+    return bad
+
+
+def bench(Q: int, repeats: int, json_path: str | None) -> int:
+    out = core_timings(Q, repeats)
+    print(f"   core: {out['pairs']} pairs: {out['core_num_us']:6.2f} us/call "
+          f"integer, {out['core_fraction_us']:6.2f} us/call Fraction")
+    out["variance_full_s"], out["class_sums_s"] = layer_split(Q, repeats)
+    out["report_s"] = out["variance_full_s"] - out["class_sums_s"]
+    out["window_s"] = best_of(repeats, lambda: variance_window(*WINDOW, PSI,
+                                                               GAMMA))
+    print(f"classes: Q = {Q}: {out['class_sums_s']:8.3f} s")
+    print(f" report: Q = {Q}: {out['report_s']:8.3f} s   "
+          f"(variance_full {out['variance_full_s']:.3f} s)")
+    (u1, u2), (v1, v2) = WINDOW
+    print(f" window: ({u1},{u2})..({v1},{v2}): {out['window_s']:8.3f} s")
+    if json_path:
+        with open(json_path, "w") as fh:
+            json.dump({"Q": Q, "repeats": repeats, **out}, fh, indent=1)
+    bad = oracle_mismatches()
+    if bad:
+        print(f"MISMATCH with variance_bruteforce: {bad[:5]}")
+        return 1
+    print("variance_full and variance_window agree with the oracle")
+    return 0
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=__doc__)
+    ap.add_argument("--Q", type=int, default=200)
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--json", help="write the timings here")
+    args = ap.parse_args()
+    raise SystemExit(bench(args.Q, args.repeats, args.json))

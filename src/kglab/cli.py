@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__
 from .cfrac import CFExpansion, cf_expand, cf_to_surd, convergents, make_liouville
-from .counting import CountReport, check_precision_range, count_by_shell, make_report
+from .counting import (SCALE_GUARD_BITS, CountReport, check_precision_range,
+                       count_by_shell, make_report)
 from .fixedpoint import DEFAULT_SCALE_BITS, PrecisionError
 from .lattice import LatticeVector, gcd_power_sum, gcd_power_sum_sweep, primorials
 from .psifunc import (ApproxFunction, Clamp, PowerLaw, TablePsi, Window,
@@ -371,8 +372,19 @@ _OVERLAP_KEYS = ["gamma", "psi", "q", "r", "set_a", "set_b", "resolution",
                  "scale_bits"]
 
 
-def cmd_overlap(args: argparse.Namespace) -> int:
+def shift_scale_bits(args: argparse.Namespace) -> int:
+    """--scale-bits of a command that rounds a surd shift down to a
+    fixed-point value: fewer than the guard bits ``count`` keeps below its
+    scale (down to 0, which rounds sqrt(2) to 1) is a precision error."""
     scale_bits = int(args.scale_bits)
+    if scale_bits < SCALE_GUARD_BITS:
+        raise PrecisionError(
+            f"scale_bits must be >= {SCALE_GUARD_BITS}, got {scale_bits}")
+    return scale_bits
+
+
+def cmd_overlap(args: argparse.Namespace) -> int:
+    scale_bits = shift_scale_bits(args)
     record: dict = {}
     if args.set_a and args.set_b:
         A, B = parse_set1d(args.set_a), parse_set1d(args.set_b)
@@ -433,7 +445,7 @@ _VARIANCE_KEYS = ["gamma", "psi", "Q", "window", "scale_bits"]
 def cmd_variance(args: argparse.Namespace) -> int:
     gamma = parse_gamma(args.gamma)
     psi = parse_psi(args.psi)
-    scale_bits = int(args.scale_bits)
+    scale_bits = shift_scale_bits(args)
     meta = metadata(args, _VARIANCE_KEYS)
     out = Output(args.out, "jsonl", meta)
     if args.window:
@@ -536,7 +548,7 @@ def cmd_vanishing_sweep(args: argparse.Namespace) -> int:
     gamma = parse_gamma(args.gamma)
     psi = parse_psi(args.psi)
     Q = int(args.Q)
-    scale_bits = int(args.scale_bits)
+    scale_bits = shift_scale_bits(args)
     w = fit_witness(gamma, psi, Q, eta_max=int(args.eta_max))
     if isinstance(w, WitnessFitFailure):
         print(f"witness fit failed: {w}", file=sys.stderr)

@@ -23,6 +23,9 @@ from .lattice import divisors, shell_size
 from .psifunc import ApproxFunction, eval_psi, psi_mantissas
 from .surd import QuadraticSurd, surd_eval
 
+# the fewest scale_bits any rounding may use; count adds the bits of 2Q+1
+SCALE_GUARD_BITS = 64
+
 
 def _gamma_mantissa(gamma, scale_bits: int) -> int:
     one = 1 << scale_bits
@@ -40,8 +43,8 @@ def _gamma_mantissa(gamma, scale_bits: int) -> int:
 
 def check_precision_range(Q: int, scale_bits: int) -> None:
     """Sweep values accumulate |q1|+|q2|+1 <= 2Q+1 mantissa terms; require
-    64 guard bits below the scale."""
-    needed = 64 + (2 * Q + 1).bit_length()
+    SCALE_GUARD_BITS guard bits below the scale."""
+    needed = SCALE_GUARD_BITS + (2 * Q + 1).bit_length()
     if scale_bits < needed:
         raise PrecisionError(
             f"Q={Q} needs scale_bits >= {needed}, got {scale_bits}"

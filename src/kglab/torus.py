@@ -11,7 +11,10 @@ arithmetic progression with step 1/lcm(d, e), each gap standing for
 gcd(d, e) arc pairs, and one arc pair overlaps in a trapezoid of four
 ramps.  ``overlap_exact_1d`` sums each ramp over the progression as one
 arithmetic series; the independent check ``overlap_sweep_oracle`` computes
-the same measure by an endpoint sweep instead.
+the same measure by an endpoint sweep instead.  The series are integer
+sums (``overlap_1d_num``) over a denominator the caller knows, so a caller
+that adds many overlaps, as the variance sums do, need not build a
+Fraction for each.
 
 Irrational shifts enter through their fixed-point representatives, so all
 arithmetic below is exact rational arithmetic.
@@ -21,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -89,38 +92,46 @@ def _ramp_sum(y: int, S: int, k_hi: int) -> int:
     return n * y + S * (n * (k_lo + k_hi) // 2)
 
 
-def overlap_1d_core(d: int, t1: Fraction, s1: Fraction,
-                    e: int, t2: Fraction, s2: Fraction) -> Fraction:
-    """Raw-argument overlap of A(d, t1) shifted by s1 with A(e, t2) shifted
-    by s2, in plain integers over the common denominator
-    CD = d*e*sd*t1d*t2d (Fraction normalization is too slow for the
-    variance sweeps that call this millions of times).
+def overlap_1d_num(d: int, t1n: int, t1d: int, an: int,
+                   e: int, t2n: int, t2d: int, bn: int, sd: int) -> int:
+    """Integer part of ``overlap_1d_core``: the overlap of A(d, t1n/t1d)
+    shifted by an/sd with A(e, t2n/t2d) shifted by bn/sd is this value over
+    lcm(d, e)*sd*t1d*t2d.  No fraction need be in lowest terms, so a caller
+    that holds every radius over one denominator can sum these numerators
+    without normalizing any of them.
 
-    Lifted to the line, the gaps between arc centres are (Y0 + k*S)/CD for
-    every k in Z, each standing for g = gcd(d, e) arc pairs, with
-    S = CD/lcm(d, e) and Y0 = (e*s1 - d*s2)*sd*t1d*t2d.  Two arcs of radii
-    R1, R2 (over CD) at gap y overlap in the trapezoid
+    Over CD = d*e*sd*t1d*t2d the gaps between arc centres, lifted to the
+    line, are Y0 + k*S for every k in Z, each standing for g = gcd(d, e)
+    arc pairs, with S = CD/lcm(d, e) and Y0 = (e*an - d*bn)*t1d*t2d.  Two
+    arcs of radii R1, R2 (over CD) at gap y overlap in the trapezoid
     w(y) = r(y+A) - r(y+B) - r(y-B) + r(y-A), with A = R1+R2, B = |R1-R2|
     and r = max(0, .).  Summed over the k with Y0 + k*S <= A, where the
-    last ramp vanishes, each remaining ramp is one arithmetic series.
-    The sum is exact for every t in [0, 1/2]: t = 0 gives w = 0, and the
-    arcs of A(d, 1/2) tile the circle.
+    last ramp vanishes, each remaining ramp is one arithmetic series; their
+    sum is the overlap over CD/g.  The sum is exact for every t in
+    [0, 1/2]: t = 0 gives w = 0, and the arcs of A(d, 1/2) tile the circle.
     """
-    g = gcd(d, e)
-    an, ad = s1.numerator, s1.denominator
-    bn, bd = s2.numerator, s2.denominator
-    sd = ad * bd // gcd(ad, bd)
-    t1n, t1d = t1.numerator, t1.denominator
-    t2n, t2d = t2.numerator, t2.denominator
     tdd = t1d * t2d
-    S = g * sd * tdd
-    Y0 = (e * an * (sd // ad) - d * bn * (sd // bd)) * tdd
+    S = gcd(d, e) * sd * tdd
+    Y0 = (e * an - d * bn) * tdd
     R1 = t1n * e * sd * t2d   # (t1/d) * CD
     R2 = t2n * d * sd * t1d   # (t2/e) * CD
     k_hi = (R1 + R2 - Y0) // S
-    total = (_ramp_sum(Y0 + R1 + R2, S, k_hi) - _ramp_sum(Y0 + R1 - R2, S, k_hi)
-             - _ramp_sum(Y0 + R2 - R1, S, k_hi))
-    return Fraction(g * total, d * e * sd * tdd)
+    return (_ramp_sum(Y0 + R1 + R2, S, k_hi) - _ramp_sum(Y0 + R1 - R2, S, k_hi)
+            - _ramp_sum(Y0 + R2 - R1, S, k_hi))
+
+
+def overlap_1d_core(d: int, t1: Fraction, s1: Fraction,
+                    e: int, t2: Fraction, s2: Fraction) -> Fraction:
+    """Raw-argument overlap of A(d, t1) shifted by s1 with A(e, t2) shifted
+    by s2: ``overlap_1d_num`` over the shifts' common denominator, as one
+    Fraction."""
+    an, ad = s1.numerator, s1.denominator
+    bn, bd = s2.numerator, s2.denominator
+    sd = lcm(ad, bd)
+    total = overlap_1d_num(d, t1.numerator, t1.denominator, an * (sd // ad),
+                           e, t2.numerator, t2.denominator, bn * (sd // bd),
+                           sd)
+    return Fraction(total, lcm(d, e) * sd * t1.denominator * t2.denominator)
 
 
 def overlap_sweep_oracle(A: TorusSet1D, B: TorusSet1D) -> Fraction:

@@ -9,17 +9,26 @@ primitive direction; all 4*phi(n) direction classes of norm n share the
 same multiplier table, so each (n, d, e, sign) overlap is evaluated once.
 An order window is the same sum over its whole shells plus the vectors of
 its two end shells, so both go through one core, ``_variance``.
+
+The sums are exact integer sums over one denominator per report.  With the
+shift sn/sd, every psi(n) an integer over td (the lcm of the psi
+denominators) and L = lcm(1..Q), each pair overlap and each product of
+measures is an integer over L*sd*td**2 (the measure fields are over td),
+and each report field becomes one Fraction at the end; no Fraction is
+built or normalized per pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .fixedpoint import DEFAULT_SCALE_BITS
 from .lattice import LatticeVector, phi, shell, shell_size
 from .psifunc import ApproxFunction, eval_psi
-from .torus import as_shift, lemma3_bound, overlap_1d_core, overlap_2d
+from .torus import (as_shift, lemma3_bound, overlap_1d_core, overlap_1d_num,
+                    overlap_2d)
 from .witness import NonLiouvilleWitness, vanish_threshold
 
 
@@ -71,14 +80,35 @@ class VarianceReport:
 
 
 class _PairEngine:
-    """Shared 1-D overlap evaluation for parallel multiplier pairs."""
+    """Shared 1-D overlap evaluation for parallel multiplier pairs.
+
+    The shift is sn/sd, hoisted once.  psi(n) for n <= q_max is the
+    Fraction ``psi_val[n]`` (for the sweep's rows and bounds) and also the
+    integer ``psi_num[n]`` over one common denominator ``td``, the lcm of
+    the psi denominators: a power of two for the power laws, about
+    lcm(1..q_max) for 1/q.  ``overlap_num`` and ``pair_num`` give overlaps
+    as integers over ``den`` = L*sd*td**2 with L = lcm(1..q_max): the
+    integer overlap of multipliers d, e is over lcm(d, e)*sd*td**2, so it
+    is scaled by L // lcm(d, e).  A product of measures
+    2*psi(m) * 2*psi(n) is 4*psi_num[m]*psi_num[n]*``unit`` over ``den``,
+    with ``unit`` = L*sd.
+    """
 
     def __init__(self, psi: ApproxFunction, gamma, scale_bits: int,
                  q_max: int) -> None:
         self.shift = as_shift(gamma, scale_bits)
+        self.neg_shift = -self.shift
+        self.sn, self.sd = self.shift.numerator, self.shift.denominator
+        self.neg_sn = -self.sn
         self.psi_val: list[Fraction] = [Fraction(0)] * (q_max + 1)
         for n in range(1, q_max + 1):
             self.psi_val[n] = eval_psi(psi, n)
+        self.td = lcm(*(v.denominator for v in self.psi_val))
+        self.psi_num = [v.numerator * (self.td // v.denominator)
+                        for v in self.psi_val]
+        self.L = lcm(*range(1, q_max + 1))
+        self.unit = self.L * self.sd
+        self.den = self.unit * self.td ** 2
         self.evals = 0
         self.scale_bits = scale_bits
 
@@ -88,26 +118,41 @@ class _PairEngine:
         relative sign)."""
         self.evals += 1
         t1, t2 = self.psi_val[d * np_], self.psi_val[e * np_]
-        s2 = self.shift if same_sign else -self.shift
+        s2 = self.shift if same_sign else self.neg_shift
         return overlap_1d_core(d, t1, self.shift, e, t2, s2)
 
-    def measure(self, norm: int) -> Fraction:
-        return 2 * self.psi_val[norm]
+    def overlap_num(self, np_: int, d: int, e: int, same_sign: bool) -> int:
+        """``overlap(np_, d, e, same_sign)`` times ``den``."""
+        self.evals += 1
+        total = overlap_1d_num(d, self.psi_num[d * np_], self.td, self.sn,
+                               e, self.psi_num[e * np_], self.td,
+                               self.sn if same_sign else self.neg_sn, self.sd)
+        return total * (self.L // lcm(d, e))
+
+    def pair_num(self, np_: int, d: int, e: int) -> int:
+        """Same-sign plus opposite-sign overlap of multipliers d, e along
+        a direction of norm np_, times ``den``."""
+        self.evals += 2
+        t1, t2 = self.psi_num[d * np_], self.psi_num[e * np_]
+        td, sn, sd = self.td, self.sn, self.sd
+        total = (overlap_1d_num(d, t1, td, sn, e, t2, td, sn, sd)
+                 + overlap_1d_num(d, t1, td, sn, e, t2, td, self.neg_sn, sd))
+        return total * (self.L // lcm(d, e))
 
 
-def _class_sums(engine: _PairEngine, np_: int, d_lo: int, d_hi: int,
-                ) -> tuple[Fraction, Fraction]:
-    """(overlap sum, product sum) over all ordered signed multiplier pairs
-    of one direction class with multipliers in [d_lo, d_hi]."""
-    ov = Fraction(0)
-    meas_total = Fraction(0)
+def _class_sums(engine: _PairEngine, np_: int, d_lo: int, d_hi: int) -> int:
+    """Overlap sum minus product sum, over ``engine.den``, of all ordered
+    signed multiplier pairs of one direction class with multipliers in
+    [d_lo, d_hi]."""
+    ov = 0
+    psi_sum = 0
     for d in range(d_lo, d_hi + 1):
-        meas_total += 2 * engine.measure(d * np_)  # both signs
+        psi_sum += engine.psi_num[d * np_]
         for e in range(d_lo, d + 1):
-            vs = engine.overlap(np_, d, e, True)
-            vo = engine.overlap(np_, d, e, False)
-            ov += (2 if d == e else 4) * (vs + vo)
-    return ov, meas_total ** 2
+            pair = engine.pair_num(np_, d, e)
+            ov += 2 * pair if d == e else 4 * pair
+    # the class's measure sum is 4*psi_sum/td (two signs, measure 2*psi)
+    return ov - 16 * engine.unit * psi_sum * psi_sum
 
 
 def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
@@ -116,19 +161,22 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
     plus the explicit ``boundary`` vectors (which lie outside those shells).
 
     Whole shells are grouped by direction class; each boundary vector is
-    paired with the whole shells and with every boundary vector.
+    paired with the whole shells and with every boundary vector.  Every
+    term is an integer over ``engine.den`` (measures over ``engine.td``),
+    so each report field is one Fraction, built at the end.
     """
     def d_range(np_: int) -> tuple[int, int]:
         # multipliers d with n_lo <= d*np_ <= n_hi
         return -(-n_lo // np_), n_hi // np_
 
+    psi_num, unit = engine.psi_num, engine.unit
+
     # whole x whole, grouped by direction class
-    variance = Fraction(0)
+    variance = 0
     for np_ in range(1, n_hi + 1):
         d_lo, d_hi = d_range(np_)
         if d_lo <= d_hi:
-            ov, prod = _class_sums(engine, np_, d_lo, d_hi)
-            variance += 4 * phi(np_) * (ov - prod)
+            variance += 4 * phi(np_) * _class_sums(engine, np_, d_lo, d_hi)
 
     # boundary x whole (ordered pairs, hence factor 2)
     by_dir: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -136,41 +184,41 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
         pb, sb = b.canonical_direction()
         by_dir.setdefault(pb, []).append((b.g, sb))
         np_ = max(abs(pb[0]), abs(pb[1]))
-        lam_b = engine.measure(b.norm)
         d_lo, d_hi = d_range(np_)
-        cross = Fraction(0)
-        prods = Fraction(0)
+        cross = 0
+        psi_sum = 0
         for e in range(d_lo, d_hi + 1):
-            cross += engine.overlap(np_, b.g, e, True)
-            cross += engine.overlap(np_, b.g, e, False)
-            prods += lam_b * 2 * engine.measure(e * np_)
-        variance += 2 * (cross - prods)
+            cross += engine.pair_num(np_, b.g, e)
+            psi_sum += psi_num[e * np_]
+        # lambda_b * (both signs of e) = 2*psi_b * 2 * 2*psi_e
+        variance += 2 * (cross - 8 * unit * psi_num[b.norm] * psi_sum)
 
     # boundary x boundary (all ordered pairs, including b with itself)
     for pb, members in by_dir.items():
         np_ = max(abs(pb[0]), abs(pb[1]))
         for d1, s1 in members:
             for d2, s2 in members:
-                ov = engine.overlap(np_, d1, d2, s1 == s2)
-                variance += ov - engine.measure(d1 * np_) * engine.measure(d2 * np_)
+                ov = engine.overlap_num(np_, d1, d2, s1 == s2)
+                variance += ov - 4 * unit * psi_num[d1 * np_] * psi_num[d2 * np_]
 
-    # measure sum, diagonal and max measure: (norm, vectors of that norm)
-    sum_measures = Fraction(0)
-    diagonal = Fraction(0)
-    max_measure = Fraction(0)
+    # measure sum, diagonal and max measure over td: (norm, vectors of that norm)
+    td = engine.td
+    sum_psi = 0
+    diagonal = 0       # over td**2
+    max_psi = 0
     weighted = [(n, shell_size(n)) for n in range(n_lo, n_hi + 1)]
     for n, k in weighted + [(b.norm, 1) for b in boundary]:
-        m = engine.measure(n)
-        sum_measures += k * m
-        diagonal += k * (m - m * m)
-        max_measure = max(max_measure, m)
+        p = psi_num[n]
+        sum_psi += k * p
+        diagonal += k * (2 * p * td - 4 * p * p)
+        max_psi = max(max_psi, p)
 
     return VarianceReport(
         label=label,
-        sum_measures=sum_measures,
-        variance=variance,
-        diagonal=diagonal,
-        max_measure=max_measure,
+        sum_measures=Fraction(2 * sum_psi, td),
+        variance=Fraction(variance, engine.den),
+        diagonal=Fraction(diagonal, td * td),
+        max_measure=Fraction(2 * max_psi, td),
         n_overlap_evals=engine.evals,
         shift_error_bound=engine.evals * 2.0 ** (8 - engine.scale_bits),
     )

@@ -408,6 +408,23 @@ def test_out_of_range_exits_2(tmp_path, argv):
     assert body == b""
 
 
+# A surd shift rounded at fewer than 64 bits is no longer the shift asked
+# for: at 0 bits sqrt(2) becomes 1, and a negative count cannot round.
+@pytest.mark.parametrize("argv", [
+    "variance --Q 3 --scale-bits 0",
+    "variance --Q 3 --scale-bits -1",
+    "variance --Q 3 --scale-bits 63",
+    "lemma3-sweep --Q 10 --scale-bits 0",
+    "lemma3-sweep --Q 10 --scale-bits -1",
+    "overlap --q 2,0 --r 1,0 --gamma sqrt:2 --psi pow:1/4,1/2 --scale-bits 0",
+    "overlap --q 2,0 --r 1,0 --gamma sqrt:2 --psi pow:1/4,1/2 --scale-bits -1",
+])
+def test_low_scale_bits_exits_3(tmp_path, argv):
+    code, body = run(tmp_path, *argv.split())
+    assert code == EXIT_PRECISION
+    assert body == b""
+
+
 class TestOutput:
     def test_failed_write_keeps_existing_file(self, tmp_path):
         path = tmp_path / "out.csv"

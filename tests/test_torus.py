@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from kglab.psifunc import PowerLaw, TablePsi
 from kglab.surd import QuadraticSurd
 from kglab.torus import (TorusSet1D, as_shift, measure_2d, overlap_2d,
-                         overlap_2d_grid_oracle, overlap_exact_1d,
-                         overlap_sweep_oracle, parallel_overlap_bound)
+                         overlap_1d_num, overlap_2d_grid_oracle,
+                         overlap_exact_1d, overlap_sweep_oracle,
+                         parallel_overlap_bound)
 from kglab.witness import NonLiouvilleWitness
 
 SQRT2 = QuadraticSurd.sqrt(2)
@@ -169,3 +171,23 @@ def test_formula_oracle_property(d, e, n1, n2, s1, s2):
     A = TorusSet1D(d, s1, F(n1, 20))
     B = TorusSet1D(e, s2, F(n2, 20))
     assert overlap_exact_1d(A, B) == overlap_sweep_oracle(A, B)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 10),
+       st.integers(0, 10), SHIFTS, st.sampled_from("+-"),
+       st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))
+def test_integer_part_over_unreduced_denominators(d, e, n1, n2, s1, sign, c1,
+                                                  c2, c3):
+    # the variance engine holds every radius over one common denominator
+    # and the shift over its own, none in lowest terms: scaling a
+    # numerator and its denominator by c must not change the overlap
+    s2 = s1 if sign == "+" else -s1
+    t1, t2 = F(n1, 20), F(n2, 20)
+    sd = s1.denominator * c3
+    num = overlap_1d_num(d, t1.numerator * c1, t1.denominator * c1,
+                         s1.numerator * c3, e, t2.numerator * c2,
+                         t2.denominator * c2, s2.numerator * c3, sd)
+    value = F(num, lcm(d, e) * sd * t1.denominator * c1 * t2.denominator * c2)
+    assert value == overlap_sweep_oracle(TorusSet1D(d, s1, t1),
+                                         TorusSet1D(e, s2, t2))

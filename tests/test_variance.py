@@ -191,3 +191,52 @@ def test_golden_reports(name):
     make, digest = GOLDEN_REPORTS[name]
     text = json.dumps(make().json_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# Differential test of the integer class sums against the all-pairs oracle,
+# over psi with dyadic, lcm(1..Q) and small odd denominators, zeros and the
+# full circle, and over irrational, rational, zero and half shifts.
+DIFF_PSIS = {
+    "inv": PowerLaw(F(1, 2), F(1)),  # 1/(2q): denominators up to lcm(1..Q)
+    "half": PSI_HALF,
+    "table": TablePsi({1: F(1, 3), 2: F(2, 5), 3: F(0), 4: F(1, 7),
+                       5: F(3, 7), 6: F(2, 15)}),  # zeros, 3/5/7 denominators
+    "root": PSI_ROOT,
+}
+DIFF_GAMMAS = {"sqrt2": SQRT2, "3/7": F(3, 7), "0": F(0), "1/2": F(1, 2)}
+
+
+def check_against_bruteforce(rep, vectors, psi, gamma):
+    assert rep.variance == variance_bruteforce(vectors, psi, gamma)
+    measures = [measure_2d(v, psi) for v in vectors]
+    assert rep.sum_measures == sum(measures)
+    assert rep.diagonal == sum(m - m * m for m in measures)
+    assert rep.max_measure == max(measures)
+
+
+@pytest.mark.parametrize("gamma", sorted(DIFF_GAMMAS))
+@pytest.mark.parametrize("psi", sorted(DIFF_PSIS))
+def test_integer_sums_match_bruteforce(psi, gamma):
+    rng = random.Random(f"{psi} {gamma}")  # other windows per case
+    psi, gamma = DIFF_PSIS[psi], DIFF_GAMMAS[gamma]
+    for Q in (1, 2, 3):
+        vectors = [v for n in range(1, Q + 1) for v in shell(n)]
+        check_against_bruteforce(variance_full(Q, psi, gamma), vectors, psi,
+                                 gamma)
+    all_vecs = [w for n in range(1, 7) for w in shell(n)]
+    for _ in range(2):
+        i, j = sorted(rng.sample(range(len(all_vecs)), 2))
+        check_against_bruteforce(variance_window(all_vecs[i], all_vecs[j], psi,
+                                                 gamma),
+                                 all_vecs[i:j + 1], psi, gamma)
+
+
+@pytest.mark.parametrize("Q", [1, 6, 25, 64])
+def test_every_pair_evaluated(Q, w_sqrt2):
+    # m multipliers per direction norm n: m(m+1) signed pairs e <= d in the
+    # variance, m(m-1) rows e < d in the sweep; none skipped by a threshold
+    ms = [Q // n for n in range(1, Q + 1)]
+    rep = variance_full(Q, PSI_ROOT, SQRT2)
+    assert rep.n_overlap_evals == sum(m * (m + 1) for m in ms)
+    rows, summary = vanishing_bound_sweep(Q, PSI_ROOT, w_sqrt2, SQRT2)
+    assert len(rows) == summary.n_rows == sum(m * (m - 1) for m in ms)
