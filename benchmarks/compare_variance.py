@@ -3,18 +3,19 @@
 
 Layers, at --Q (default 200) with psi = 1/4 q^-1/2 and gamma = sqrt(2):
   core      the integer ramp sums ``overlap_1d_num`` per call, on the
-            arguments of every pair that ``variance_full(Q)`` evaluates,
-            beside the Fraction wrapper ``overlap_1d_core`` that the sweep
-            and ``overlap_exact_1d`` call, on the same pairs;
+            arguments of every pair that ``variance_full(Q)`` evaluates;
   classes   ``_class_sums`` over every direction class (core included);
   report    the rest of ``variance_full(Q)``: the psi table, the measure
             sum, diagonal and maximum and the report Fractions;
   window    one ``variance_window`` from norm 20 to norm 79, both end
-            shells cut.
+            shells cut;
+  sweep     ``vanishing_bound_sweep(Q)`` with its rows and without
+            (``collect_rows=False``), witness fitted as the CLI fits it.
 
 ``variance_full`` at Q <= 3 and two order windows of norm <= 4 are
-compared with the all-pairs ``variance_bruteforce`` for four psi and four
-gamma; exits 1 on any mismatch.  --json writes the timings to a file.
+compared with the all-pairs ``variance_bruteforce``, and every sweep row at
+Q = 8 with ``overlap_sweep_oracle`` and ``lemma3_bound``, for four psi and
+four gamma; exits 1 on any mismatch.  --json writes the timings to a file.
 
 Usage: python benchmarks/compare_variance.py [--Q 200] [--repeats 3]
                                              [--json PATH]
@@ -26,12 +27,15 @@ import time
 from fractions import Fraction
 
 from kglab.lattice import LatticeVector, shell
-from kglab.psifunc import PowerLaw, TablePsi
+from kglab.psifunc import PowerLaw, TablePsi, eval_psi
 from kglab.surd import QuadraticSurd
-from kglab.torus import overlap_1d_core, overlap_1d_num
+from kglab.torus import (TorusSet1D, as_shift, lemma3_bound, overlap_1d_num,
+                         overlap_sweep_oracle)
 from kglab import variance
-from kglab.variance import (_PairEngine, variance_bruteforce, variance_full,
+from kglab.variance import (_PairEngine, vanishing_bound_sweep,
+                            variance_bruteforce, variance_full,
                             variance_window)
+from kglab.witness import NonLiouvilleWitness, fit_witness
 
 SCALE = 192
 PSI = PowerLaw(Fraction(1, 4), Fraction(1, 2))
@@ -45,6 +49,10 @@ ORACLE_PSIS = (PowerLaw(Fraction(1, 2), Fraction(1)),
 ORACLE_GAMMAS = (GAMMA, Fraction(3, 7), Fraction(0), Fraction(1, 2))
 ORACLE_WINDOWS = ((LatticeVector(1, 1), LatticeVector(3, -2)),
                   (LatticeVector(-2, 1), LatticeVector(-4, 3)))
+SWEEP_ORACLE_Q = 8
+# thresholds 1, 3, 4, 7, ... for d = 2, 3, 4, 5, ...: rows on both sides
+SWEEP_WITNESS = NonLiouvilleWitness(1, Fraction(1, 4), Fraction(1, 2),
+                                    Fraction(1), SWEEP_ORACLE_Q, analytic=True)
 
 
 def best_of(repeats: int, fn) -> float:
@@ -57,23 +65,15 @@ def best_of(repeats: int, fn) -> float:
 
 
 def core_timings(Q: int, repeats: int) -> dict:
-    """Per-call times of both core forms over the pairs of variance_full(Q)."""
+    """Per-call time of the integer core over the pairs of variance_full(Q)."""
     eng = _PairEngine(PSI, GAMMA, SCALE, Q)
     td, sn, sd = eng.td, eng.sn, eng.sd
-    num_args, frac_args = [], []
-    for np_ in range(1, Q + 1):
-        for d in range(1, Q // np_ + 1):
-            for e in range(1, d + 1):
-                for bn, s2 in ((sn, eng.shift), (eng.neg_sn, eng.neg_shift)):
-                    num_args.append((d, eng.psi_num[d * np_], td, sn,
-                                     e, eng.psi_num[e * np_], td, bn, sd))
-                    frac_args.append((d, eng.psi_val[d * np_], eng.shift,
-                                      e, eng.psi_val[e * np_], s2))
-    t_num = best_of(repeats, lambda: [overlap_1d_num(*a) for a in num_args])
-    t_frac = best_of(repeats, lambda: [overlap_1d_core(*a) for a in frac_args])
-    n = len(num_args)
-    return {"pairs": n, "core_num_us": 1e6 * t_num / n,
-            "core_fraction_us": 1e6 * t_frac / n}
+    args = [(d, eng.psi_num[d * np_], td, sn, e, eng.psi_num[e * np_], td,
+             bn, sd)
+            for np_ in range(1, Q + 1) for d in range(1, Q // np_ + 1)
+            for e in range(1, d + 1) for bn in (sn, eng.neg_sn)]
+    t_num = best_of(repeats, lambda: [overlap_1d_num(*a) for a in args])
+    return {"pairs": len(args), "core_num_us": 1e6 * t_num / len(args)}
 
 
 def layer_split(Q: int, repeats: int) -> tuple[float, float]:
@@ -120,10 +120,34 @@ def oracle_mismatches() -> list[str]:
     return bad
 
 
+def sweep_mismatches() -> list[str]:
+    bad = []
+    Q, w = SWEEP_ORACLE_Q, SWEEP_WITNESS
+    for psi in ORACLE_PSIS:
+        for gamma in ORACLE_GAMMAS:
+            shift = as_shift(gamma, SCALE)
+            rows, _ = vanishing_bound_sweep(Q, psi, w, gamma)
+            for row in rows:
+                pq, pr = eval_psi(psi, row.q), eval_psi(psi, row.r)
+                sign = 1 if row.rel == "same" else -1
+                ov = overlap_sweep_oracle(TorusSet1D(row.d, shift, pq),
+                                          TorusSet1D(row.e, sign * shift, pr))
+                bound = lemma3_bound(pq, pr, row.d, row.e)
+                if row.r > row.threshold:
+                    want = (None, "zero-confirmed" if ov == 0 else "VIOLATION")
+                else:
+                    want = (bound, "bound-satisfied" if ov <= bound
+                            else "VIOLATION")
+                if (row.overlap, row.bound, row.status) != (ov, *want):
+                    bad.append(f"sweep row d={row.d} e={row.e} q={row.q} "
+                               f"{row.rel} psi={psi.describe()} "
+                               f"gamma={gamma}")
+    return bad
+
+
 def bench(Q: int, repeats: int, json_path: str | None) -> int:
     out = core_timings(Q, repeats)
-    print(f"   core: {out['pairs']} pairs: {out['core_num_us']:6.2f} us/call "
-          f"integer, {out['core_fraction_us']:6.2f} us/call Fraction")
+    print(f"   core: {out['pairs']} pairs: {out['core_num_us']:6.2f} us/call")
     out["variance_full_s"], out["class_sums_s"] = layer_split(Q, repeats)
     out["report_s"] = out["variance_full_s"] - out["class_sums_s"]
     out["window_s"] = best_of(repeats, lambda: variance_window(*WINDOW, PSI,
@@ -133,14 +157,25 @@ def bench(Q: int, repeats: int, json_path: str | None) -> int:
           f"(variance_full {out['variance_full_s']:.3f} s)")
     (u1, u2), (v1, v2) = WINDOW
     print(f" window: ({u1},{u2})..({v1},{v2}): {out['window_s']:8.3f} s")
+    w = fit_witness(GAMMA, PSI, Q)
+    for key, rows in (("sweep_rows_s", True), ("sweep_no_rows_s", False)):
+        out[key] = best_of(repeats, lambda: vanishing_bound_sweep(
+            Q, PSI, w, GAMMA, collect_rows=rows))
+    print(f"  sweep: Q = {Q}: {out['sweep_rows_s']:8.3f} s with rows, "
+          f"{out['sweep_no_rows_s']:.3f} s without")
     if json_path:
         with open(json_path, "w") as fh:
             json.dump({"Q": Q, "repeats": repeats, **out}, fh, indent=1)
     bad = oracle_mismatches()
     if bad:
         print(f"MISMATCH with variance_bruteforce: {bad[:5]}")
+    bad_rows = sweep_mismatches()
+    if bad_rows:
+        print(f"MISMATCH with the sweep oracles: {bad_rows[:5]}")
+    if bad or bad_rows:
         return 1
-    print("variance_full and variance_window agree with the oracle")
+    print("variance_full, variance_window and the sweep rows agree with "
+          "the oracles")
     return 0
 
 

@@ -7,7 +7,7 @@ with exact rational/fixed-point arithmetic end to end.
 
 __version__ = "0.1.0"
 
-from .fixedpoint import DEFAULT_SCALE_BITS, FixedPoint, PrecisionError, dist_nearest_int
+from .fixedpoint import DEFAULT_SCALE_BITS, FixedPoint, PrecisionError
 from .surd import QuadraticSurd, surd_eval
 from .rng import RngStream, derive_seed
 from .psifunc import ApproxFunction, Clamp, PowerLaw, TablePsi, Window, eval_psi
@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_SCALE_BITS",
     "FixedPoint",
     "PrecisionError",
-    "dist_nearest_int",
     "QuadraticSurd",
     "surd_eval",
     "RngStream",

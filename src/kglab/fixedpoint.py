@@ -1,4 +1,4 @@
-"""Fixed-point torus arithmetic on big-integer mantissas.
+"""Fixed-point torus values on big-integer mantissas.
 
 A ``FixedPoint`` holds ``mantissa / 2**scale_bits`` exactly.  Every quantity
 that feeds a membership test ``|q.alpha - p - gamma| <= psi(|q|)`` lives in
@@ -51,49 +51,12 @@ class FixedPoint:
     def to_fraction(self) -> Fraction:
         return Fraction(self.mantissa, 1 << self.scale_bits)
 
-    # -- exact arithmetic ----------------------------------------------
-
-    def _aligned(self, other: "FixedPoint") -> tuple[int, int, int]:
-        s = max(self.scale_bits, other.scale_bits)
-        a = self.mantissa << (s - self.scale_bits)
-        b = other.mantissa << (s - other.scale_bits)
-        return a, b, s
-
-    def __add__(self, other: "FixedPoint") -> "FixedPoint":
-        a, b, s = self._aligned(other)
-        return FixedPoint(a + b, s)
-
-    def __sub__(self, other: "FixedPoint") -> "FixedPoint":
-        a, b, s = self._aligned(other)
-        return FixedPoint(a - b, s)
-
-    def __neg__(self) -> "FixedPoint":
-        return FixedPoint(-self.mantissa, self.scale_bits)
-
-    def __mul__(self, k: int) -> "FixedPoint":
-        if not isinstance(k, int):
-            return NotImplemented
-        return FixedPoint(self.mantissa * k, self.scale_bits)
-
-    __rmul__ = __mul__
-
-    def __abs__(self) -> "FixedPoint":
-        return FixedPoint(abs(self.mantissa), self.scale_bits)
-
-    def _cmp(self, other: "FixedPoint") -> int:
-        a, b, _ = self._aligned(other)
-        return (a > b) - (a < b)
+    # -- value equality --------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FixedPoint):
             return NotImplemented
-        return self._cmp(other) == 0
-
-    def __lt__(self, other: "FixedPoint") -> bool:
-        return self._cmp(other) < 0
-
-    def __le__(self, other: "FixedPoint") -> bool:
-        return self._cmp(other) <= 0
+        return self.to_fraction() == other.to_fraction()
 
     def __hash__(self) -> int:
         return hash(self.to_fraction())
@@ -101,12 +64,3 @@ class FixedPoint:
     def __repr__(self) -> str:
         return f"FixedPoint({self.mantissa}, scale_bits={self.scale_bits})"
 
-
-def dist_nearest_int(x: FixedPoint) -> FixedPoint:
-    """Distance to the nearest integer, exact at the operand's scale.
-
-    Returns a FixedPoint in [0, 1/2].
-    """
-    one = 1 << x.scale_bits
-    r = x.mantissa % one
-    return FixedPoint(min(r, one - r), x.scale_bits)

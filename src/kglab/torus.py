@@ -13,8 +13,9 @@ ramps.  ``overlap_exact_1d`` sums each ramp over the progression as one
 arithmetic series; the independent check ``overlap_sweep_oracle`` computes
 the same measure by an endpoint sweep instead.  The series are integer
 sums (``overlap_1d_num``) over a denominator the caller knows, so a caller
-that adds many overlaps, as the variance sums do, need not build a
-Fraction for each.
+that adds or compares many overlaps, as the variance sums and the Lemma 3
+sweep do, need not build a Fraction for each; ``overlap_exact_1d`` is the
+one Fraction form.
 
 Irrational shifts enter through their fixed-point representatives, so all
 arithmetic below is exact rational arithmetic.
@@ -75,13 +76,6 @@ class TorusSet1D:
         return 2 * self.t
 
 
-def overlap_exact_1d(A: TorusSet1D, B: TorusSet1D) -> Fraction:
-    """lambda_1(A intersect B): the trapezoid overlap of each arc pair,
-    summed over the arithmetic progression of arc-centre gaps as a few
-    ramp series in closed form (see ``overlap_1d_core``)."""
-    return overlap_1d_core(A.d, A.t, A.shift, B.d, B.t, B.shift)
-
-
 def _ramp_sum(y: int, S: int, k_hi: int) -> int:
     """Sum of r(y + k*S) over k <= k_hi: the arithmetic series of the
     nonnegative terms, k from ceil(-y/S) up.  The term count n is
@@ -94,11 +88,10 @@ def _ramp_sum(y: int, S: int, k_hi: int) -> int:
 
 def overlap_1d_num(d: int, t1n: int, t1d: int, an: int,
                    e: int, t2n: int, t2d: int, bn: int, sd: int) -> int:
-    """Integer part of ``overlap_1d_core``: the overlap of A(d, t1n/t1d)
-    shifted by an/sd with A(e, t2n/t2d) shifted by bn/sd is this value over
-    lcm(d, e)*sd*t1d*t2d.  No fraction need be in lowest terms, so a caller
-    that holds every radius over one denominator can sum these numerators
-    without normalizing any of them.
+    """The overlap of A(d, t1n/t1d) shifted by an/sd with A(e, t2n/t2d)
+    shifted by bn/sd is this value over lcm(d, e)*sd*t1d*t2d.  No fraction
+    need be in lowest terms, so a caller that holds every radius over one
+    denominator can sum these numerators without normalizing any of them.
 
     Over CD = d*e*sd*t1d*t2d the gaps between arc centres, lifted to the
     line, are Y0 + k*S for every k in Z, each standing for g = gcd(d, e)
@@ -120,18 +113,18 @@ def overlap_1d_num(d: int, t1n: int, t1d: int, an: int,
             - _ramp_sum(Y0 + R2 - R1, S, k_hi))
 
 
-def overlap_1d_core(d: int, t1: Fraction, s1: Fraction,
-                    e: int, t2: Fraction, s2: Fraction) -> Fraction:
-    """Raw-argument overlap of A(d, t1) shifted by s1 with A(e, t2) shifted
-    by s2: ``overlap_1d_num`` over the shifts' common denominator, as one
-    Fraction."""
-    an, ad = s1.numerator, s1.denominator
-    bn, bd = s2.numerator, s2.denominator
+def overlap_exact_1d(A: TorusSet1D, B: TorusSet1D) -> Fraction:
+    """lambda_1(A intersect B): the trapezoid overlap of each arc pair,
+    summed over the arithmetic progression of arc-centre gaps as a few
+    ramp series in closed form (``overlap_1d_num`` over the shifts' common
+    denominator, as one Fraction)."""
+    an, ad = A.shift.numerator, A.shift.denominator
+    bn, bd = B.shift.numerator, B.shift.denominator
     sd = lcm(ad, bd)
-    total = overlap_1d_num(d, t1.numerator, t1.denominator, an * (sd // ad),
-                           e, t2.numerator, t2.denominator, bn * (sd // bd),
-                           sd)
-    return Fraction(total, lcm(d, e) * sd * t1.denominator * t2.denominator)
+    t1d, t2d = A.t.denominator, B.t.denominator
+    total = overlap_1d_num(A.d, A.t.numerator, t1d, an * (sd // ad),
+                           B.d, B.t.numerator, t2d, bn * (sd // bd), sd)
+    return Fraction(total, lcm(A.d, B.d) * sd * t1d * t2d)
 
 
 def overlap_sweep_oracle(A: TorusSet1D, B: TorusSet1D) -> Fraction:
@@ -309,10 +302,20 @@ class ParallelBoundResult:
         return self.kind == "zero"
 
 
+def lemma3_bound_num(pn: int, rn: int, td: int, d: int, e: int) -> int:
+    """Lemma 3 overlap bound 4*psi(q)*psi(r) + 4*(psi(q)/d)*gcd(d, e) times
+    d*td**2, given psi(q) = pn/td and psi(r) = rn/td (not necessarily in
+    lowest terms)."""
+    return 4 * pn * (rn * d + td * gcd(d, e))
+
+
 def lemma3_bound(pq: Fraction, pr: Fraction, d: int, e: int) -> Fraction:
-    """Lemma 3 overlap bound 4*psi(q)*psi(r) + 4*(psi(q)/d)*gcd(d, e),
-    given pq = psi(q) and pr = psi(r)."""
-    return 4 * pq * pr + 4 * (pq / d) * gcd(d, e)
+    """``lemma3_bound_num`` as a Fraction, given pq = psi(q) and
+    pr = psi(r)."""
+    td = lcm(pq.denominator, pr.denominator)
+    pn = pq.numerator * (td // pq.denominator)
+    rn = pr.numerator * (td // pr.denominator)
+    return Fraction(lemma3_bound_num(pn, rn, td, d, e), d * td * td)
 
 
 def parallel_overlap_bound(q_vec, r_vec, psi: ApproxFunction,

@@ -10,12 +10,15 @@ same multiplier table, so each (n, d, e, sign) overlap is evaluated once.
 An order window is the same sum over its whole shells plus the vectors of
 its two end shells, so both go through one core, ``_variance``.
 
-The sums are exact integer sums over one denominator per report.  With the
-shift sn/sd, every psi(n) an integer over td (the lcm of the psi
+Overlaps have one representation, integers over one denominator.  With
+the shift sn/sd, every psi(n) an integer over td (the lcm of the psi
 denominators) and L = lcm(1..Q), each pair overlap and each product of
-measures is an integer over L*sd*td**2 (the measure fields are over td),
-and each report field becomes one Fraction at the end; no Fraction is
-built or normalized per pair.
+measures is an integer over L*sd*td**2 (the measure fields are over td).
+A variance report sums these integers and builds each field as one
+Fraction at the end.  The sweep compares each overlap with its Lemma 3
+bound (an integer over d*td**2) by cross-multiplication, and builds
+Fractions only for the rows it returns and for the largest overlap/bound
+ratio.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from math import lcm
 from .fixedpoint import DEFAULT_SCALE_BITS
 from .lattice import LatticeVector, phi, shell, shell_size
 from .psifunc import ApproxFunction, eval_psi
-from .torus import (as_shift, lemma3_bound, overlap_1d_core, overlap_1d_num,
+from .torus import (as_shift, lemma3_bound, lemma3_bound_num, overlap_1d_num,
                     overlap_2d)
 from .witness import NonLiouvilleWitness, vanish_threshold
 
@@ -80,10 +83,10 @@ class VarianceReport:
 
 
 class _PairEngine:
-    """Shared 1-D overlap evaluation for parallel multiplier pairs.
+    """Shared 1-D overlap evaluation for parallel multiplier pairs, in
+    integers over one denominator.
 
     The shift is sn/sd, hoisted once.  psi(n) for n <= q_max is the
-    Fraction ``psi_val[n]`` (for the sweep's rows and bounds) and also the
     integer ``psi_num[n]`` over one common denominator ``td``, the lcm of
     the psi denominators: a power of two for the power laws, about
     lcm(1..q_max) for 1/q.  ``overlap_num`` and ``pair_num`` give overlaps
@@ -96,33 +99,22 @@ class _PairEngine:
 
     def __init__(self, psi: ApproxFunction, gamma, scale_bits: int,
                  q_max: int) -> None:
-        self.shift = as_shift(gamma, scale_bits)
-        self.neg_shift = -self.shift
-        self.sn, self.sd = self.shift.numerator, self.shift.denominator
+        shift = as_shift(gamma, scale_bits)
+        self.sn, self.sd = shift.numerator, shift.denominator
         self.neg_sn = -self.sn
-        self.psi_val: list[Fraction] = [Fraction(0)] * (q_max + 1)
-        for n in range(1, q_max + 1):
-            self.psi_val[n] = eval_psi(psi, n)
-        self.td = lcm(*(v.denominator for v in self.psi_val))
-        self.psi_num = [v.numerator * (self.td // v.denominator)
-                        for v in self.psi_val]
+        vals = [Fraction(0)] + [eval_psi(psi, n) for n in range(1, q_max + 1)]
+        self.td = lcm(*(v.denominator for v in vals))
+        self.psi_num = [v.numerator * (self.td // v.denominator) for v in vals]
         self.L = lcm(*range(1, q_max + 1))
         self.unit = self.L * self.sd
         self.den = self.unit * self.td ** 2
         self.evals = 0
         self.scale_bits = scale_bits
 
-    def overlap(self, np_: int, d: int, e: int, same_sign: bool) -> Fraction:
-        """lambda_2 overlap of (s1*d*P, s2*e*P) for any direction P of norm
-        np_ (the value does not depend on P, only on the norms and the
-        relative sign)."""
-        self.evals += 1
-        t1, t2 = self.psi_val[d * np_], self.psi_val[e * np_]
-        s2 = self.shift if same_sign else self.neg_shift
-        return overlap_1d_core(d, t1, self.shift, e, t2, s2)
-
     def overlap_num(self, np_: int, d: int, e: int, same_sign: bool) -> int:
-        """``overlap(np_, d, e, same_sign)`` times ``den``."""
+        """lambda_2 overlap of (s1*d*P, s2*e*P), times ``den``, for any
+        direction P of norm np_ (the value does not depend on P, only on
+        the norms and on whether the signs s1, s2 agree)."""
         self.evals += 1
         total = overlap_1d_num(d, self.psi_num[d * np_], self.td, self.sn,
                                e, self.psi_num[e * np_], self.td,
@@ -304,32 +296,41 @@ def vanishing_bound_sweep(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
     vanishing threshold and the overlap bound, in both relative signs.
 
     A class is (direction norm, d, e): the overlap does not depend on which
-    of the 4*phi(n) primitive directions of norm n carries the pair.
+    of the 4*phi(n) primitive directions of norm n carries the pair.  Rows
+    are decided in integers; with ``collect_rows`` False no row Fraction is
+    built.
     """
     if not w.analytic and w.q_max < Q:
         raise ValueError(f"witness certified only up to {w.q_max} < Q={Q}")
     engine = _PairEngine(psi, gamma, scale_bits, Q)
+    psi_num, td, unit, den = engine.psi_num, engine.td, engine.unit, engine.den
     rows: list[SweepRow] = []
     summary = SweepSummary()
+    best_num, best_den = 0, 1     # max ov/bound so far, as a pair
     for np_ in range(1, Q + 1):
         for d in range(2, Q // np_ + 1):
             thr = vanish_threshold(w, d)
             q_norm = d * np_
-            pq = engine.psi_val[q_norm]
+            pn = psi_num[q_norm]
             for e in range(1, d):
                 r_norm = e * np_
-                bound = lemma3_bound(pq, engine.psi_val[r_norm], d, e)
+                beyond = r_norm > thr
+                # ov <= bound  <=>  num*d <= bnum*unit, with ov = num/den
+                # and bound = bnum/(d*td**2)
+                bnum = lemma3_bound_num(pn, psi_num[r_norm], td, d, e)
+                b_scaled = bnum * unit
+                row_bound = (None if beyond or not collect_rows
+                             else Fraction(bnum, d * td * td))
                 for rel in ("same", "opp"):
-                    ov = engine.overlap(np_, d, e, rel == "same")
-                    if r_norm > thr:
-                        status = "zero-confirmed" if ov == 0 else "VIOLATION"
-                        row_bound = None
+                    num = engine.overlap_num(np_, d, e, rel == "same")
+                    if beyond:
+                        status = "zero-confirmed" if num == 0 else "VIOLATION"
                     else:
-                        status = "bound-satisfied" if ov <= bound else "VIOLATION"
-                        row_bound = bound
-                        if bound > 0:
-                            summary.max_bound_ratio = max(
-                                summary.max_bound_ratio, ov / bound)
+                        n_scaled = num * d
+                        status = ("bound-satisfied" if n_scaled <= b_scaled
+                                  else "VIOLATION")
+                        if bnum > 0 and n_scaled * best_den > best_num * b_scaled:
+                            best_num, best_den = n_scaled, b_scaled
                     summary.n_rows += 1
                     if status == "zero-confirmed":
                         summary.n_zero_confirmed += 1
@@ -338,8 +339,10 @@ def vanishing_bound_sweep(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
                     else:
                         summary.n_violations += 1
                     if collect_rows:
-                        rows.append(SweepRow(d, e, r_norm, q_norm, thr, ov,
-                                             row_bound, status, rel))
+                        rows.append(SweepRow(d, e, r_norm, q_norm, thr,
+                                             Fraction(num, den), row_bound,
+                                             status, rel))
+    summary.max_bound_ratio = Fraction(best_num, best_den)
     return rows, summary
 
 

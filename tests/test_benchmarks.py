@@ -1,0 +1,24 @@
+"""The benchmark scripts still run: a symbol one of them imports cannot be
+deleted or renamed without this failing."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["benchmarks/compare_kernels.py", "--Q", "50", "--repeats", "1"],
+    ["benchmarks/compare_variance.py", "--Q", "20", "--repeats", "1"],
+])
+def test_benchmark_script_runs(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

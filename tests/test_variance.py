@@ -2,16 +2,19 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from kglab.lattice import LatticeVector, shell
-from kglab.psifunc import PowerLaw, TablePsi
+from kglab.psifunc import PowerLaw, TablePsi, eval_psi
 from kglab.surd import QuadraticSurd
-from kglab.torus import measure_2d, overlap_2d
-from kglab.variance import (highdim_bound_check, vanishing_bound_sweep,
-                            variance_bruteforce, variance_full, variance_window)
-from kglab.witness import fit_witness
+from kglab.torus import (TorusSet1D, as_shift, lemma3_bound, measure_2d,
+                         overlap_2d, overlap_sweep_oracle)
+from kglab.variance import (SweepSummary, highdim_bound_check,
+                            vanishing_bound_sweep, variance_bruteforce,
+                            variance_full, variance_window)
+from kglab.witness import NonLiouvilleWitness, fit_witness, vanish_threshold
 
 SQRT2 = QuadraticSurd.sqrt(2)
 PSI_CONST = PowerLaw(F(1, 10), F(0))
@@ -240,3 +243,77 @@ def test_every_pair_evaluated(Q, w_sqrt2):
     assert rep.n_overlap_evals == sum(m * (m + 1) for m in ms)
     rows, summary = vanishing_bound_sweep(Q, PSI_ROOT, w_sqrt2, SQRT2)
     assert len(rows) == summary.n_rows == sum(m * (m - 1) for m in ms)
+
+
+# Differential test of the sweep's integer rows against Fraction oracles.
+# An analytic witness that holds for sqrt(2) (no row beyond its threshold at
+# these Q), one with thresholds 1..36 that splits the rows, and a false one
+# (threshold 1) under which nonzero overlaps must come out as violations.
+SWEEP_WITNESSES = {
+    "sqrt2": NonLiouvilleWitness(1, F(3), F(1, 2), F(1, 2), 12, analytic=True),
+    "split": NonLiouvilleWitness(1, F(1, 4), F(1, 2), F(1), 12, analytic=True),
+    "false": NonLiouvilleWitness(1, F(1, 1000), F(1, 2), F(1), 12,
+                                 analytic=True),
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(DIFF_GAMMAS))
+@pytest.mark.parametrize("psi", sorted(DIFF_PSIS))
+def test_sweep_rows_match_oracles(psi, gamma):
+    psi, gamma = DIFF_PSIS[psi], DIFF_GAMMAS[gamma]
+    Q = 12
+    shift = as_shift(gamma)
+    classes = [(n * d, n * e, d, e, rel) for n in range(1, Q + 1)
+               for d in range(2, Q // n + 1) for e in range(1, d)
+               for rel in ("same", "opp")]
+    oracle = {}
+    for q, r, d, e, rel in classes:
+        sign = 1 if rel == "same" else -1
+        pq, pr = eval_psi(psi, q), eval_psi(psi, r)
+        bound = 4 * pq * pr + 4 * (pq / d) * gcd(d, e)
+        assert lemma3_bound(pq, pr, d, e) == bound
+        oracle[q, r, rel] = (
+            overlap_sweep_oracle(TorusSet1D(d, shift, pq),
+                                 TorusSet1D(e, sign * shift, pr)), bound)
+    for name, w in SWEEP_WITNESSES.items():
+        rows, summary = vanishing_bound_sweep(Q, psi, w, gamma)
+        assert [(r.q, r.r, r.d, r.e, r.rel) for r in rows] == classes
+        ratios = [F(0)]
+        for row in rows:
+            ov, bound = oracle[row.q, row.r, row.rel]
+            assert row.overlap == ov
+            assert row.threshold == vanish_threshold(w, row.d)
+            if row.r > row.threshold:
+                assert row.bound is None
+                assert row.status == ("zero-confirmed" if ov == 0
+                                      else "VIOLATION")
+            else:
+                assert row.bound == bound
+                assert row.status == ("bound-satisfied" if ov <= bound
+                                      else "VIOLATION")
+                if bound > 0:
+                    ratios.append(ov / bound)
+                else:
+                    assert ov == 0  # psi(q) = 0: the tie ov = bound = 0
+        statuses = [row.status for row in rows]
+        assert summary.n_rows == len(rows)
+        assert summary.n_zero_confirmed == statuses.count("zero-confirmed")
+        assert summary.n_bound_satisfied == statuses.count("bound-satisfied")
+        assert summary.n_violations == statuses.count("VIOLATION")
+        assert summary.max_bound_ratio == max(ratios)
+        _, bare = vanishing_bound_sweep(Q, psi, w, gamma, collect_rows=False)
+        assert bare == summary
+        if name == "false":
+            assert summary.n_violations > 0
+        if name == "sqrt2":
+            assert summary.n_zero_confirmed == 0
+
+
+def test_sweep_zero_psi_ties():
+    w = SWEEP_WITNESSES["sqrt2"]
+    rows, summary = vanishing_bound_sweep(6, TablePsi({}), w, SQRT2)
+    assert rows and all(r.overlap == r.bound == 0 for r in rows)
+    assert summary.n_bound_satisfied == len(rows)
+    assert summary.max_bound_ratio == 0
+    assert vanishing_bound_sweep(1, TablePsi({}), w, SQRT2) == ([],
+                                                                SweepSummary())
