@@ -1,59 +1,105 @@
 #!/usr/bin/env python3
-"""Time the floor-sum counting kernel and check it against the oracle.
+"""Time the counting path layer by layer and check it against the oracles.
 
-The kernel (``count_by_shell_raw``) is timed at --Q; the shell-walk oracle
-(``count_python``) visits every vector, so the two are compared on the
-per-shell counts of shells 1..min(Q, 300).  Exits 1 on any mismatch.
+Layers, at --Q (default 2000) with psi = q^-3/4 and gamma = sqrt(2):
+  table   ``CountTable``: psi evaluated once per q <= Q, the kernel
+          thresholds and the integer prefix sums of the report terms;
+  kernel  the floor-sum kernel ``count_by_shell_raw``;
+  report  ``make_report`` at Q from the table.
+
+The shell-walk oracle (``count_python``) visits every vector, so it is
+compared with the kernel on the per-shell counts of shells 1..min(Q, 300).
+At min(Q, 300) the report terms are compared with ``main_term`` in both
+modes and ``chi_term``, for this psi and for 1/(2q), whose denominator is
+lcm(1..Q).  Exits 1 on any mismatch.  --json writes the timings to a file.
 
 Usage: python benchmarks/compare_kernels.py [--Q 2000] [--repeats 3]
+                                            [--json PATH]
 """
 
 import argparse
+import json
 import time
 from fractions import Fraction
 
 import numpy as np
 
 from kglab._kernels import count_by_shell_raw, count_python
-from kglab.psifunc import PowerLaw, psi_mantissas
+from kglab.counting import CountTable, chi_term, main_term, make_report
+from kglab.psifunc import PowerLaw
 from kglab.rng import RngStream
 from kglab.surd import QuadraticSurd, surd_eval
 
 SCALE = 192
 ORACLE_MAX_Q = 300
+PSI = PowerLaw(Fraction(1), Fraction(3, 4))
+ORACLE_PSIS = (PSI, PowerLaw(Fraction(1, 2), Fraction(1)))
 
 
-def bench(Q: int, repeats: int) -> int:
-    gamma = surd_eval(QuadraticSurd.sqrt(2), 1, SCALE).mantissa
-    a1, a2 = RngStream(0).sample_torus_point(SCALE)
-    psi = PowerLaw(Fraction(1), Fraction(3, 4))
-    thresholds = psi_mantissas(psi, Q, SCALE)
-    raw = (a1.mantissa, a2.mantissa, gamma, SCALE, thresholds)
-
-    best = float("inf")
+def best_of(repeats: int, fn):
+    """(fastest time, result of the last call) over ``repeats`` calls."""
+    best, result = float("inf"), None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        counts = count_by_shell_raw(*raw, Q)
+        result = fn()
         best = min(best, time.perf_counter() - t0)
-    vectors = (2 * Q + 1) ** 2 - 1
-    print(f" kernel: Q = {Q}: {best:8.3f} s   {vectors / best / 1e6:9.1f} M "
-          f"vectors/s   N = {int(counts.sum())}")
+    return best, result
+
+
+def report_mismatches(Q: int) -> list[str]:
+    bad = []
+    for psi in ORACLE_PSIS:
+        got = CountTable(psi, [Q], SCALE).terms[Q]
+        want = (main_term(psi, Q, "exact-shell"), main_term(psi, Q, "paper"),
+                chi_term(psi, Q))
+        bad += [f"{name} psi={psi.describe()} Q={Q}"
+                for name, g, w in zip(("psi_exact", "psi_paper", "chi"),
+                                      got, want) if g != w]
+    return bad
+
+
+def bench(Q: int, repeats: int, json_path: str | None) -> int:
+    gamma = surd_eval(QuadraticSurd.sqrt(2), 1, SCALE).mantissa
+    a1, a2 = RngStream(0).sample_torus_point(SCALE)
+    out = {}
+    out["table_s"], table = best_of(repeats,
+                                    lambda: CountTable(PSI, [Q], SCALE))
+    raw = (a1.mantissa, a2.mantissa, gamma, SCALE, table.thresholds)
+    out["kernel_s"], counts = best_of(repeats,
+                                      lambda: count_by_shell_raw(*raw, Q))
+    out["report_s"], rep = best_of(repeats, lambda: make_report(
+        0, counts, Q, table, Fraction(1, 2), "sqrt:2", PSI.describe()))
+    print(f"  table: Q = {Q}: {out['table_s']:8.3f} s")
+    print(f" kernel: Q = {Q}: {out['kernel_s']:8.3f} s   N = {rep.N}")
+    print(f" report: Q = {Q}: {out['report_s']:8.5f} s")
+    if json_path:
+        with open(json_path, "w") as fh:
+            json.dump({"Q": Q, "repeats": repeats, **out}, fh, indent=1)
 
     q_ref = min(Q, ORACLE_MAX_Q)
     t0 = time.perf_counter()
     ref = count_python(*raw, q_ref)
     print(f" oracle: Q = {q_ref}: {time.perf_counter() - t0:8.3f} s")
+    status = 0
     if not np.array_equal(counts[:q_ref + 1], ref):
         bad = np.flatnonzero(counts[:q_ref + 1] != ref)
         print(f"MISMATCH with the oracle on shells {bad.tolist()[:10]}")
-        return 1
-    print(f"kernel and oracle agree on shells 1..{q_ref}")
-    return 0
+        status = 1
+    else:
+        print(f"kernel and oracle agree on shells 1..{q_ref}")
+    bad_terms = report_mismatches(q_ref)
+    if bad_terms:
+        print(f"MISMATCH with main_term/chi_term: {bad_terms}")
+        status = 1
+    else:
+        print(f"report terms agree with main_term and chi_term at Q = {q_ref}")
+    return status
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--Q", type=int, default=2000)
     ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--json", help="write the timings here")
     args = ap.parse_args()
-    raise SystemExit(bench(args.Q, args.repeats))
+    raise SystemExit(bench(args.Q, args.repeats, args.json))

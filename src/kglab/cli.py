@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .cfrac import CFExpansion, cf_expand, cf_to_surd, convergents, make_liouville
-from .counting import (SCALE_GUARD_BITS, CountReport, check_precision_range,
-                       count_by_shell, make_report)
+from .counting import (SCALE_GUARD_BITS, CountReport, CountTable,
+                       check_precision_range, count_by_thresholds, make_report)
 from .fixedpoint import DEFAULT_SCALE_BITS, PrecisionError
 from .lattice import LatticeVector, gcd_power_sum, gcd_power_sum_sweep, primorials
 from .psifunc import (ApproxFunction, Clamp, PowerLaw, TablePsi, Window,
@@ -274,13 +274,12 @@ _COUNT_KEYS = ["gamma", "psi", "Q", "trials", "seed", "delta_log",
 
 
 def _count_trial(payload) -> tuple[int, list[int]]:
-    (gamma_spec, psi_spec, q_max, scale_bits, base_seed, trial) = payload
+    (gamma_spec, thresholds, q_max, scale_bits, base_seed, trial) = payload
     gamma = parse_gamma(gamma_spec)
-    psi = parse_psi(psi_spec)
     seed = derive_seed(base_seed, trial)
     rng = RngStream(seed)
     alpha = rng.sample_torus_point(scale_bits)
-    counts = count_by_shell(alpha, q_max, gamma, psi, scale_bits)
+    counts = count_by_thresholds(alpha, q_max, gamma, thresholds, scale_bits)
     return trial, [int(x) for x in counts]
 
 
@@ -322,12 +321,13 @@ def cmd_count(args: argparse.Namespace) -> int:
     parse_gamma(args.gamma)
     psi = parse_psi(args.psi)
     check_precision_range(q_max, scale_bits)
+    table = CountTable(psi, qlist, scale_bits)
 
     semantic = ["gamma", "psi", "Q", "trials", "seed", "delta_log", "scale_bits"]
     cfg_hash = _config_hash(args, semantic)
     ckpt_path = None if args.out == "-" else args.out + ".ckpt"
     done = _load_checkpoint(ckpt_path, cfg_hash) if ckpt_path else {}
-    payloads = [(args.gamma, args.psi, q_max, scale_bits, seed, t)
+    payloads = [(args.gamma, table.thresholds, q_max, scale_bits, seed, t)
                 for t in range(trials) if t not in done]
     results: dict[int, list[int]] = {}
     with contextlib.ExitStack() as stack:
@@ -356,8 +356,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     for trial in range(trials):
         arr = np.array(results[trial], dtype=np.int64)
         for Q in qlist:
-            rep = make_report(derive_seed(seed, trial), arr, Q, psi, delta_log,
-                              args.gamma, args.psi)
+            rep = make_report(derive_seed(seed, trial), arr, Q, table,
+                              delta_log, args.gamma, args.psi)
             out.row(rep.json_dict())
     out.finish()
     if ckpt_path and os.path.exists(ckpt_path):
@@ -625,13 +625,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _bind_window_value(argv: list[str]) -> list[str]:
-    """Rewrite '--window -3,4:1,2' as '--window=-3,4:1,2': argparse takes a
-    separate value that starts with '-' for a flag and exits 2."""
+def _bind_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite '--q -6,3' as '--q=-6,3' after any flag of a subcommand, all
+    of which take a value: argparse takes a separate value of the form
+    -<digit>... for a flag and exits 2.  A lone '-', as in '--out -', is
+    left as it is."""
+    flags = {"--" + key.replace("_", "-")
+             for _, _, keys in COMMANDS.values() for key in keys}
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] == "--window" and tok[:1] == "-" and tok[1:2].isdigit():
-            out[-1] = f"--window={tok}"
+        if out and out[-1] in flags and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
@@ -639,7 +643,7 @@ def _bind_window_value(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    argv = _bind_window_value(sys.argv[1:] if argv is None else list(argv))
+    argv = _bind_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -7,6 +7,13 @@ mantissas and every membership decision is an integer comparison (see
 ``_kernels``).  A boundary tie ||q.alpha - gamma|| = psi = 1/2 yields two
 admissible integers p and counts twice; the event is detectable because
 the arithmetic is exact, and has probability zero for sampled alpha.
+
+A count run evaluates psi once per q <= Q_max, in one ``CountTable``.  The
+kernel reads its shell thresholds from it, and every report reads its
+terms from three integer prefix sums over one denominator: sum q*psi,
+sum psi and sum sigma(q)*psi, with sigma from one divisor-sum sieve.
+``main_term`` and ``chi_term`` sum the same terms from q = 1 with
+``Fraction``s and are kept as the oracles of the table.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from ._kernels import count_by_shell_raw
 from .fixedpoint import DEFAULT_SCALE_BITS, FixedPoint, PrecisionError
-from .lattice import divisors, shell_size
+from .lattice import divisor_sums, divisors, shell_size
 from .psifunc import ApproxFunction, eval_psi, psi_mantissas
 from .surd import QuadraticSurd, surd_eval
 
@@ -56,18 +63,27 @@ def count_by_shell(alpha: tuple[FixedPoint, FixedPoint], Q: int, gamma,
                    scale_bits: int | None = None) -> np.ndarray:
     """Shell-indexed counts: entry n is the number of (p, q) solutions with
     |q| = n.  Sum of entries 1..Q is N(alpha, Q, gamma)."""
+    a1, a2 = alpha
+    s = scale_bits or max(a1.scale_bits, a2.scale_bits, DEFAULT_SCALE_BITS)
+    check_precision_range(Q, s)  # before psi is evaluated Q times
+    return count_by_thresholds(alpha, Q, gamma, psi_mantissas(psi, Q, s), s)
+
+
+def count_by_thresholds(alpha: tuple[FixedPoint, FixedPoint], Q: int, gamma,
+                        thresholds: list[int], scale_bits: int) -> np.ndarray:
+    """``count_by_shell`` with psi given as its shell thresholds
+    thresholds[n] = floor(psi(n) * 2**scale_bits) for n <= Q."""
     if Q < 1:
         raise ValueError("Q must be >= 1")
     a1, a2 = alpha
-    s = scale_bits or max(a1.scale_bits, a2.scale_bits, DEFAULT_SCALE_BITS)
+    s = scale_bits
     check_precision_range(Q, s)
     if a1.scale_bits > s or a2.scale_bits > s:
         raise PrecisionError("alpha carries more precision than the sweep scale")
     m1 = (a1.mantissa << (s - a1.scale_bits)) % (1 << s)
     m2 = (a2.mantissa << (s - a2.scale_bits)) % (1 << s)
     mg = _gamma_mantissa(gamma, s)
-    thr = psi_mantissas(psi, Q, s)
-    return count_by_shell_raw(m1, m2, mg, s, thr, Q)
+    return count_by_shell_raw(m1, m2, mg, s, thresholds, Q)
 
 
 def count_solutions(alpha: tuple[FixedPoint, FixedPoint], Q: int, gamma,
@@ -115,6 +131,41 @@ def chi_term(psi: ApproxFunction, Q: int) -> Fraction:
     return total
 
 
+class CountTable:
+    """psi(q) for 1 <= q <= max(qs), evaluated once for a whole count run.
+
+    ``thresholds[q]`` = floor(psi(q) * 2**scale_bits) are the kernel's shell
+    thresholds, the values of ``psi_mantissas``.  ``terms[Q]`` for each Q of
+    ``qs`` is (psi_exact, psi_paper, chi), the values of ``main_term`` in
+    both modes and of ``chi_term``: 16*sum q*psi, that plus 8*sum psi, and
+    8*sum sigma(q)*psi.  The three prefix sums run as integers over one
+    denominator, the lcm of the psi denominators (a power of two for the
+    power laws, about lcm(1..Q) for 1/q), and are kept only at the Q of
+    ``qs``: a sum per q would hold O(Q**2) bits for 1/q.
+    """
+
+    def __init__(self, psi: ApproxFunction, qs: list[int],
+                 scale_bits: int) -> None:
+        q_max = max(qs)
+        vals = [eval_psi(psi, q) for q in range(1, q_max + 1)]
+        self.thresholds = [0] + [(v.numerator << scale_bits) // v.denominator
+                                 for v in vals]
+        td = math.lcm(*(v.denominator for v in vals))
+        sigma = divisor_sums(q_max)
+        wanted = set(qs)
+        s_q = s_1 = s_sigma = 0
+        self.terms: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
+        for q, v in enumerate(vals, 1):
+            num = v.numerator * (td // v.denominator)
+            s_q += q * num
+            s_1 += num
+            s_sigma += sigma[q] * num
+            if q in wanted:
+                self.terms[q] = (Fraction(16 * s_q, td),
+                                 Fraction(16 * s_q + 8 * s_1, td),
+                                 Fraction(8 * s_sigma, td))
+
+
 _E_UPPER = Fraction(2718281828459046, 10 ** 15)  # > e; conservative guard
 
 
@@ -159,13 +210,12 @@ class CountReport:
 
 
 def make_report(seed: int, shell_counts: np.ndarray, Q: int,
-                psi: ApproxFunction, delta_log: Fraction, gamma_id: str,
+                table: CountTable, delta_log: Fraction, gamma_id: str,
                 psi_id: str) -> CountReport:
-    """Assemble a CountReport from per-shell counts (prefix up to Q)."""
+    """Assemble a CountReport from per-shell counts (prefix up to Q) and
+    the run's psi table, which must hold the sums at Q."""
     N = int(shell_counts[1:Q + 1].sum())
-    psi_exact = main_term(psi, Q, "exact-shell")
-    psi_paper = main_term(psi, Q, "paper")
-    chi = chi_term(psi, Q)
+    psi_exact, psi_paper, chi = table.terms[Q]
     err = None
     if psi_exact > _E_UPPER:
         err = normalized_error(N, psi_exact, delta_log)

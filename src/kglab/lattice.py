@@ -3,7 +3,8 @@ divisor/gcd-sum diagnostics (tau, phi, restricted gcd-power sums).
 
 All counts are exact integers; every multiplicative quantity (tau, phi,
 divisors, the (d, phi(n/d)) pairs behind the gcd sums) comes from one
-trial-division ``factorize`` (desk scale).
+trial-division ``factorize`` (desk scale), except sigma(n) for every
+n <= Q at once, which ``divisor_sums`` sieves for the count reports.
 """
 
 from __future__ import annotations
@@ -118,6 +119,16 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n).items():
         ds = [d * p ** i for d in ds for i in range(e + 1)]
     return sorted(ds)
+
+
+def divisor_sums(n_max: int) -> list[int]:
+    """sigma(n), the sum of the divisors of n, for n = 0..n_max (index 0
+    unused), by one sieve over the multiples of each d."""
+    sigma = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        for m in range(d, n_max + 1, d):
+            sigma[m] += d
+    return sigma
 
 
 def divisor_phi_pairs(n: int) -> list[tuple[int, int]]:

@@ -1,14 +1,20 @@
 import argparse
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from kglab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECISION, Output,
                        build_parser, main, parse_gamma, parse_psi, parse_qlist,
                        parse_set1d)
-from kglab.psifunc import Clamp, PowerLaw, TablePsi, Window
+from kglab.psifunc import Clamp, PowerLaw, TablePsi, Window, psi_mantissas
 from kglab.surd import QuadraticSurd
+
+
+# the shell thresholds of the default psi (pow:1,3/4) at Q = 20, scale 192,
+# as cmd_count passes them to _count_trial
+THRESHOLDS_20 = psi_mantissas(PowerLaw(1, Fraction(3, 4)), 20, 192)
 
 
 def run(tmp_path, *argv):
@@ -44,8 +50,6 @@ class TestSpecParsing:
         assert isinstance(zero, TablePsi) and not zero.values
 
     def test_set1d_spec(self):
-        from fractions import Fraction
-
         s = parse_set1d("d=3,t=1/10,shift=1/12")
         assert s.d == 3
         assert s.t == Fraction(1, 10)
@@ -132,7 +136,7 @@ class TestCount:
         meta = json.loads(full.decode().split("\r\n")[0][2:])
         from kglab.cli import _count_trial
 
-        trial0 = _count_trial(("sqrt:2", "pow:1,3/4", 20, 192, 1, 0))
+        trial0 = _count_trial(("sqrt:2", THRESHOLDS_20, 20, 192, 1, 0))
         with open(ckpt, "w") as fh:
             fh.write(json.dumps({"config_hash": meta["config_hash"]}) + "\n")
             fh.write(json.dumps({"trial": 0, "counts": trial0[1]}) + "\n")
@@ -150,7 +154,7 @@ class TestCount:
         meta = json.loads(full.decode().split("\r\n")[0][2:])
         from kglab.cli import _count_trial
 
-        trial0 = _count_trial(("sqrt:2", "pow:1,3/4", 20, 192, 2, 0))[1]
+        trial0 = _count_trial(("sqrt:2", THRESHOLDS_20, 20, 192, 2, 0))[1]
         if damage == "truncated-tail":
             # a run killed mid-write: the last record is cut short
             lines = [{"config_hash": meta["config_hash"]},
@@ -166,6 +170,22 @@ class TestCount:
         assert main(args) == EXIT_OK
         assert out.read_bytes() == full
         assert not ckpt.exists()
+
+    def test_psi_evaluated_once_per_q(self, tmp_path, monkeypatch):
+        # one psi table per run: the kernel thresholds and every report of
+        # every trial and every Q read it
+        calls = []
+        raw = PowerLaw._raw
+
+        def counted(self, q):
+            calls.append(q)
+            return raw(self, q)
+
+        monkeypatch.setattr(PowerLaw, "_raw", counted)
+        code, _ = run(tmp_path, "count", "--Q", "10,30", "--trials", "3",
+                      "--workers", "1")
+        assert code == EXIT_OK
+        assert sorted(calls) == list(range(1, 31))
 
     def test_jsonl_format(self, tmp_path):
         _, body = run(tmp_path, "count", "--Q", "5", "--trials", "1",
@@ -221,6 +241,21 @@ class TestOtherCommands:
         argv = ["variance", "--gamma", "sqrt:2", "--psi", "const:1/10"]
         spaced = run(tmp_path, *argv, "--window", window)
         joined = run(tmp_path, *argv, f"--window={window}")
+        assert spaced[0] == EXIT_OK
+        assert spaced == joined
+
+    @pytest.mark.parametrize("flag, value, argv", [
+        ("--q", "-6,3", ["overlap", "--gamma", "sqrt:2", "--psi",
+                         "pow:1/4,1/2", "--r", "4,-2"]),
+        ("--r", "-4,2", ["overlap", "--gamma", "sqrt:2", "--psi",
+                         "pow:1/4,1/2", "--q", "6,-3"]),
+        ("--window", "-1,2:3,-4", ["variance", "--psi", "const:1/10"]),
+    ])
+    def test_negative_value_spaced_or_joined(self, tmp_path, flag, value,
+                                             argv):
+        # any flag's separate value of the form -<digit>... is its value
+        spaced = run(tmp_path, *argv, flag, value)
+        joined = run(tmp_path, *argv, f"{flag}={value}")
         assert spaced[0] == EXIT_OK
         assert spaced == joined
 

@@ -6,12 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from kglab import counting
 from kglab._kernels import count_by_shell_raw, count_python
-from kglab.counting import (CountReport, chi_term, count_by_shell,
-                            count_solutions, main_term, make_report,
-                            normalized_error)
+from kglab.counting import (CountReport, CountTable, chi_term,
+                            count_by_shell, count_solutions, main_term,
+                            make_report, normalized_error)
 from kglab.fixedpoint import FixedPoint, PrecisionError
 from kglab.lattice import divisors, phi, tau
-from kglab.psifunc import PowerLaw, TablePsi, Window, eval_psi
+from kglab.psifunc import (Clamp, PowerLaw, TablePsi, Window, eval_psi,
+                           psi_mantissas)
 from kglab.rng import RngStream
 from kglab.surd import QuadraticSurd
 
@@ -206,6 +207,35 @@ def test_chi_dominates_psi_sum():
         assert chi >= lower
 
 
+# psi with dyadic denominators, with td = lcm(1..Q), at the cap 1/2 (and
+# capped from above at q = 1..4), with zeros and denominators 3, 5 and 7,
+# under both wrappers, and zero everywhere (td = 1)
+REPORT_PSIS = [
+    PSI_34,
+    PowerLaw(F(1, 2), F(1)),
+    PSI_HALF,
+    PowerLaw(F(2), F(1)),
+    TablePsi({1: F(1, 3), 2: 0, 3: F(2, 5), 5: F(1, 7), 7: F(3, 7),
+              12: 0, 40: F(1, 5)}),
+    Clamp(PowerLaw(F(1), F(1, 2))),
+    Window(PSI_34, 5, 40),
+    TablePsi({}),
+]
+
+
+@pytest.mark.parametrize("psi", REPORT_PSIS, ids=lambda p: p.describe())
+def test_count_table_matches_oracles(psi):
+    # the report terms at every Q <= 60 equal main_term in both modes and
+    # chi_term, and the thresholds equal psi_mantissas
+    qs = list(range(1, 61))
+    table = CountTable(psi, qs, 192)
+    assert table.thresholds == psi_mantissas(psi, 60, 192)
+    for Q in qs:
+        assert table.terms[Q] == (main_term(psi, Q, "exact-shell"),
+                                  main_term(psi, Q, "paper"),
+                                  chi_term(psi, Q)), Q
+
+
 def test_normalized_error():
     assert normalized_error(100, F(100), F(1, 2)) == 0
     import math
@@ -221,7 +251,8 @@ def test_normalized_error():
 def test_report_roundtrip():
     a = alpha_for(4)
     counts = count_by_shell(a, 30, SQRT2, PSI_34)
-    rep = make_report(123, counts, 30, PSI_34, F(1, 2), "sqrt:2", "pow:1,3/4")
+    table = CountTable(PSI_34, [30], 192)
+    rep = make_report(123, counts, 30, table, F(1, 2), "sqrt:2", "pow:1,3/4")
     assert rep.N == int(counts.sum())
     assert set(CountReport.CSV_COLUMNS) <= rep.json_dict().keys()
     assert rep.json_dict()["N"] == rep.N
