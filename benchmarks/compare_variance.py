@@ -10,7 +10,10 @@ Layers, at --Q (default 200) with psi = 1/4 q^-1/2 and gamma = sqrt(2):
   window    one ``variance_window`` from norm 20 to norm 79, both end
             shells cut;
   sweep     ``vanishing_bound_sweep(Q)`` with its rows and without
-            (``collect_rows=False``), witness fitted as the CLI fits it.
+            (``collect_rows=False``), witness fitted as the CLI fits it;
+  sweep_cli the whole in-process ``kglab lemma3-sweep --Q Q`` run with
+            the same psi and gamma, CSV written to a temporary file: the
+            sweep with rows plus the witness fit and the row writing.
 
 ``variance_full`` at Q <= 3 and two order windows of norm <= 4 are
 compared with the all-pairs ``variance_bruteforce``, and every sweep row at
@@ -23,6 +26,8 @@ Usage: python benchmarks/compare_variance.py [--Q 200] [--repeats 3]
 
 import argparse
 import json
+import os
+import tempfile
 import time
 from fractions import Fraction
 
@@ -31,7 +36,7 @@ from kglab.psifunc import PowerLaw, TablePsi, eval_psi
 from kglab.surd import QuadraticSurd
 from kglab.torus import (TorusSet1D, as_shift, lemma3_bound, overlap_1d_num,
                          overlap_sweep_oracle)
-from kglab import variance
+from kglab import cli, variance
 from kglab.variance import (_PairEngine, vanishing_bound_sweep,
                             variance_bruteforce, variance_full,
                             variance_window)
@@ -163,6 +168,16 @@ def bench(Q: int, repeats: int, json_path: str | None) -> int:
             Q, PSI, w, GAMMA, collect_rows=rows))
     print(f"  sweep: Q = {Q}: {out['sweep_rows_s']:8.3f} s with rows, "
           f"{out['sweep_no_rows_s']:.3f} s without")
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["lemma3-sweep", "--gamma", "sqrt:2", "--psi", "pow:1/4,1/2",
+                "--Q", str(Q), "--out", os.path.join(tmp, "sweep.csv")]
+
+        def run_cli() -> None:
+            if cli.main(argv) != 0:
+                raise SystemExit(f"kglab {' '.join(argv)} failed")
+
+        out["sweep_cli_s"] = best_of(repeats, run_cli)
+    print(f"    cli: Q = {Q}: {out['sweep_cli_s']:8.3f} s for lemma3-sweep")
     if json_path:
         with open(json_path, "w") as fh:
             json.dump({"Q": Q, "repeats": repeats, **out}, fh, indent=1)

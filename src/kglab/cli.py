@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
+import functools
 import hashlib
 import io
 import json
@@ -200,12 +200,31 @@ def metadata(args: argparse.Namespace, keys: list[str], **extra) -> dict:
     return md
 
 
+def csv_line(values) -> str:
+    """One CRLF-terminated CSV record, as the ``csv`` module's writer
+    writes it with minimal quoting (RFC 4180): None is an empty cell, any
+    other value its str() (for a float the same text as the repr() that
+    module uses), and a cell is quoted, with '"' doubled, only if it holds
+    a comma, '"', CR or LF.  The joined line is checked once; only a line
+    that needs quoting is rebuilt cell by cell."""
+    cells = ["" if v is None else str(v) for v in values]
+    line = ",".join(cells)
+    if (line.count(",") != len(cells) - 1 or '"' in line or "\r" in line
+            or "\n" in line):
+        line = ",".join(
+            '"' + c.replace('"', '""') + '"'
+            if any(ch in c for ch in ',"\r\n') else c for c in cells)
+    elif line == "" and len(cells) == 1:
+        line = '""'  # a lone empty field, quoted so the row is not blank
+    return line + "\r\n"
+
+
 class Output:
     """Single collector writing CSV or JSONL with a metadata head line.
 
-    Each row is one dict. CSV writes row[c] for each column, None as an
-    empty cell and floats by repr; JSONL writes the dict with sorted keys.
-    Other values (Fractions) become str() in both.
+    Each row is one dict. CSV writes row[c] for each column through
+    ``csv_line``; JSONL writes the dict with sorted keys. Other values
+    (Fractions) become str() in both.
     """
 
     def __init__(self, path: str, fmt: str, meta: dict, columns=()) -> None:
@@ -214,11 +233,10 @@ class Output:
         self.path = path
         self.columns = columns
         if fmt == "csv":
-            self.writer = csv.writer(self.buf, lineterminator="\r\n")
             self.buf.write("# " + json.dumps(meta, sort_keys=True,
                                              default=str) + "\r\n")
             if columns:
-                self.writer.writerow(columns)
+                self.buf.write(csv_line(columns))
         elif fmt == "jsonl":
             self.buf.write(json.dumps({"meta": meta}, sort_keys=True,
                                       default=str) + "\n")
@@ -227,7 +245,7 @@ class Output:
 
     def row(self, row: dict) -> None:
         if self.fmt == "csv":
-            self.writer.writerow([row[c] for c in self.columns])
+            self.buf.write(csv_line(map(row.__getitem__, self.columns)))
         else:
             self.buf.write(json.dumps(row, sort_keys=True, default=str) + "\n")
 
@@ -566,7 +584,7 @@ def cmd_vanishing_sweep(args: argparse.Namespace) -> int:
     cols = ("d", "e", "r", "q", "threshold", "overlap", "bound", "status", "rel")
     out = Output(args.out, args.format, meta, columns=cols)
     for row in rows:
-        out.row(vars(row))  # SweepRow fields, named as the columns
+        out.row(row._asdict())  # SweepRow fields, named as the columns
     out.finish()
     return EXIT_OK if summary.ok() else EXIT_FAIL
 
@@ -612,7 +630,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The kglab parser, built on first use and then shared: parsing keeps
+    no state in it."""
     p = argparse.ArgumentParser(prog="kglab", description=__doc__)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -625,13 +646,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _value_flags() -> frozenset[str]:
+    return frozenset("--" + key.replace("_", "-")
+                     for _, _, keys in COMMANDS.values() for key in keys)
+
+
 def _bind_negative_values(argv: list[str]) -> list[str]:
     """Rewrite '--q -6,3' as '--q=-6,3' after any flag of a subcommand, all
     of which take a value: argparse takes a separate value of the form
     -<digit>... for a flag and exits 2.  A lone '-', as in '--out -', is
     left as it is."""
-    flags = {"--" + key.replace("_", "-")
-             for _, _, keys in COMMANDS.values() for key in keys}
+    flags = _value_flags()
     out: list[str] = []
     for tok in argv:
         if out and out[-1] in flags and tok[:1] == "-" and tok[1:2].isdigit():

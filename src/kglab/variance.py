@@ -15,10 +15,11 @@ the shift sn/sd, every psi(n) an integer over td (the lcm of the psi
 denominators) and L = lcm(1..Q), each pair overlap and each product of
 measures is an integer over L*sd*td**2 (the measure fields are over td).
 A variance report sums these integers and builds each field as one
-Fraction at the end.  The sweep compares each overlap with its Lemma 3
-bound (an integer over d*td**2) by cross-multiplication, and builds
-Fractions only for the rows it returns and for the largest overlap/bound
-ratio.
+Fraction at the end.  The sweep takes each overlap unscaled, as an integer
+over lcm(d, e)*sd*td**2, and compares it with its Lemma 3 bound (an
+integer over d*td**2) by cross-multiplication.  It builds Fractions only
+for the rows it returns, over lcm(d, e)*sd*td**2 rather than the far larger
+L*sd*td**2, and for the largest overlap/bound ratio.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .fixedpoint import DEFAULT_SCALE_BITS
 from .lattice import LatticeVector, phi, shell, shell_size
@@ -89,10 +91,11 @@ class _PairEngine:
     The shift is sn/sd, hoisted once.  psi(n) for n <= q_max is the
     integer ``psi_num[n]`` over one common denominator ``td``, the lcm of
     the psi denominators: a power of two for the power laws, about
-    lcm(1..q_max) for 1/q.  ``overlap_num`` and ``pair_num`` give overlaps
-    as integers over ``den`` = L*sd*td**2 with L = lcm(1..q_max): the
-    integer overlap of multipliers d, e is over lcm(d, e)*sd*td**2, so it
-    is scaled by L // lcm(d, e).  A product of measures
+    lcm(1..q_max) for 1/q.  The integer overlap of multipliers d, e is
+    over lcm(d, e)*sd*td**2; ``pair_raw`` returns it so, for the sweep.
+    ``overlap_num`` and ``pair_num`` scale it by L // lcm(d, e) to
+    ``den`` = L*sd*td**2 with L = lcm(1..q_max), the one denominator of a
+    variance report's sums.  A product of measures
     2*psi(m) * 2*psi(n) is 4*psi_num[m]*psi_num[n]*``unit`` over ``den``,
     with ``unit`` = L*sd.
     """
@@ -120,6 +123,18 @@ class _PairEngine:
                                e, self.psi_num[e * np_], self.td,
                                self.sn if same_sign else self.neg_sn, self.sd)
         return total * (self.L // lcm(d, e))
+
+    def pair_raw(self, np_: int, d: int, e: int) -> tuple[int, int]:
+        """Same-sign and opposite-sign overlap of multipliers d, e along a
+        direction of norm np_, each unscaled: over lcm(d, e)*sd*td**2.
+        ``pair_num`` repeats these two calls inline, since the variance
+        sums call it for every pair and a nested call there costs about
+        5% of ``variance_full``."""
+        self.evals += 2
+        t1, t2 = self.psi_num[d * np_], self.psi_num[e * np_]
+        td, sn, sd = self.td, self.sn, self.sd
+        return (overlap_1d_num(d, t1, td, sn, e, t2, td, sn, sd),
+                overlap_1d_num(d, t1, td, sn, e, t2, td, self.neg_sn, sd))
 
     def pair_num(self, np_: int, d: int, e: int) -> int:
         """Same-sign plus opposite-sign overlap of multipliers d, e along
@@ -263,8 +278,7 @@ def variance_bruteforce(vectors: list[LatticeVector], psi: ApproxFunction,
 # -- the vanishing/bound sweep ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     d: int
     e: int
     r: int
@@ -303,9 +317,11 @@ def vanishing_bound_sweep(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
     if not w.analytic and w.q_max < Q:
         raise ValueError(f"witness certified only up to {w.q_max} < Q={Q}")
     engine = _PairEngine(psi, gamma, scale_bits, Q)
-    psi_num, td, unit, den = engine.psi_num, engine.td, engine.unit, engine.den
+    psi_num, td, sd = engine.psi_num, engine.td, engine.sd
+    td2 = td * td
+    zero = Fraction(0)
     rows: list[SweepRow] = []
-    summary = SweepSummary()
+    tally = {"zero-confirmed": 0, "bound-satisfied": 0, "VIOLATION": 0}
     best_num, best_den = 0, 1     # max ov/bound so far, as a pair
     for np_ in range(1, Q + 1):
         for d in range(2, Q // np_ + 1):
@@ -315,34 +331,34 @@ def vanishing_bound_sweep(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
             for e in range(1, d):
                 r_norm = e * np_
                 beyond = r_norm > thr
-                # ov <= bound  <=>  num*d <= bnum*unit, with ov = num/den
-                # and bound = bnum/(d*td**2)
-                bnum = lemma3_bound_num(pn, psi_num[r_norm], td, d, e)
-                b_scaled = bnum * unit
-                row_bound = (None if beyond or not collect_rows
-                             else Fraction(bnum, d * td * td))
-                for rel in ("same", "opp"):
-                    num = engine.overlap_num(np_, d, e, rel == "same")
+                # ov = raw/(l*sd*td**2) with l = lcm(d, e) and bound =
+                # bnum/(d*td**2), so ov <= bound  <=>  raw*d <= bnum*l*sd
+                l_sd = lcm(d, e) * sd
+                row_bound = None
+                if not beyond:
+                    bnum = lemma3_bound_num(pn, psi_num[r_norm], td, d, e)
+                    b_scaled = bnum * l_sd
+                    if collect_rows:
+                        row_bound = Fraction(bnum, d * td2)
+                same, opp = engine.pair_raw(np_, d, e)
+                for raw, rel in ((same, "same"), (opp, "opp")):
                     if beyond:
-                        status = "zero-confirmed" if num == 0 else "VIOLATION"
+                        status = "zero-confirmed" if raw == 0 else "VIOLATION"
                     else:
-                        n_scaled = num * d
+                        n_scaled = raw * d
                         status = ("bound-satisfied" if n_scaled <= b_scaled
                                   else "VIOLATION")
                         if bnum > 0 and n_scaled * best_den > best_num * b_scaled:
                             best_num, best_den = n_scaled, b_scaled
-                    summary.n_rows += 1
-                    if status == "zero-confirmed":
-                        summary.n_zero_confirmed += 1
-                    elif status == "bound-satisfied":
-                        summary.n_bound_satisfied += 1
-                    else:
-                        summary.n_violations += 1
+                    tally[status] += 1
                     if collect_rows:
-                        rows.append(SweepRow(d, e, r_norm, q_norm, thr,
-                                             Fraction(num, den), row_bound,
-                                             status, rel))
-    summary.max_bound_ratio = Fraction(best_num, best_den)
+                        rows.append(SweepRow(
+                            d, e, r_norm, q_norm, thr,
+                            Fraction(raw, l_sd * td2) if raw else zero,
+                            row_bound, status, rel))
+    summary = SweepSummary(sum(tally.values()), tally["zero-confirmed"],
+                           tally["bound-satisfied"], tally["VIOLATION"],
+                           Fraction(best_num, best_den))
     return rows, summary
 
 

@@ -1,9 +1,12 @@
 import argparse
+import csv
 import hashlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kglab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECISION, Output,
                        build_parser, main, parse_gamma, parse_psi, parse_qlist,
@@ -470,3 +473,37 @@ class TestOutput:
             out.finish()
         assert path.read_bytes() == b"previous run\r\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+# Differential test of Output's CSV lines against the csv module, the
+# oracle: cells of every type the commands write, and strings made mostly
+# of the characters that force quoting, with lone surrogates allowed.
+CSV_TEXT = st.text(st.one_of(st.sampled_from(',"\r\n '),
+                             st.characters(exclude_categories=())),
+                   max_size=8)
+CSV_CELL = st.one_of(st.none(), st.integers(), st.floats(), st.fractions(),
+                     CSV_TEXT)
+
+
+def csv_table(n):
+    return st.tuples(st.lists(CSV_TEXT, min_size=n, max_size=n),
+                     st.lists(st.lists(CSV_CELL, min_size=n, max_size=n),
+                              max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 5).flatmap(csv_table))
+@example(([""], [[""], [None], ["x"]]))
+@example((["a\rb", 'q"'], [["\r", '"'], [float("inf"), float("nan")]]))
+@example(([",", "\n"], [[None, ""], [Fraction(-3, 7), "\ud800"]]))
+def test_csv_lines_match_csv_module(table):
+    columns, rows = table
+    out = Output("-", "csv", {}, columns=columns)
+    want = io.StringIO()
+    oracle = csv.writer(want, lineterminator="\r\n")
+    oracle.writerow(columns)
+    for values in rows:
+        row = dict(zip(columns, values))
+        out.row(row)
+        oracle.writerow([row[c] for c in columns])
+    assert out.buf.getvalue() == "# {}\r\n" + want.getvalue()

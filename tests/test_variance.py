@@ -317,3 +317,36 @@ def test_sweep_zero_psi_ties():
     assert summary.max_bound_ratio == 0
     assert vanishing_bound_sweep(1, TablePsi({}), w, SQRT2) == ([],
                                                                 SweepSummary())
+
+
+# Rows and summaries of lemma3-sweep's shape (psi = 1/16 q^-1/2, Q = 25)
+# under the "split" witness, which these gamma do not satisfy, so all three
+# statuses occur: SHA-256 of repr(([tuple(row) ...], summary)), the rows'
+# field order being d, e, r, q, threshold, overlap, bound, status, rel.
+# Recorded when each row overlap was still built over L*sd*td**2 with
+# L = lcm(1..Q); now it is built over lcm(d, e)*sd*td**2.
+PSI_16 = PowerLaw(F(1, 16), F(1, 2))
+SWEEP_RECORDED = {
+    "sqrt2": (SQRT2, F(12, 17),
+              "0cf4e14f6f56186248660e42878ad924c50bf430b2c61c5120cb908ceca848b6"),
+    "sqrt7": (QuadraticSurd.sqrt(7), F(32, 41),
+              "19e2206f8d4450fcdf4e52324e85890c0249d9369058da0e3382f0020bba4fba"),
+    "3/7": (F(3, 7), F(2, 3),
+            "1f7d1433d04e13303c7973ec4fb68359e1bfa8c577f37a5e5a13633c1b37b7de"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_RECORDED))
+def test_sweep_rows_recorded(name):
+    gamma, ratio, digest = SWEEP_RECORDED[name]
+    w = SWEEP_WITNESSES["split"]
+    rows, summary = vanishing_bound_sweep(25, PSI_16, w, gamma)
+    text = repr(([tuple(row) for row in rows], summary))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert summary.max_bound_ratio == ratio
+    assert vanishing_bound_sweep(25, PSI_16, w, gamma,
+                                 collect_rows=False) == ([], summary)
+    assert any(row.overlap == 0 for row in rows)
+    for row in rows:
+        assert type(row.overlap) is F
+        assert (row.bound is None) == (row.r > row.threshold)
