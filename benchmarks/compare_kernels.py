@@ -5,7 +5,9 @@ Layers, at --Q (default 2000) with psi = q^-3/4 and gamma = sqrt(2):
   table   ``CountTable``: psi evaluated once per q <= Q, the kernel
           thresholds and the integer prefix sums of the report terms;
   kernel  the floor-sum kernel ``count_by_shell_raw``;
-  report  ``make_report`` at Q from the table.
+  report  ``make_report`` at Q from the table;
+  import  ``import kglab.cli`` in a fresh interpreter: the median of 5
+          runs after one discarded warm-up.
 
 The shell-walk oracle (``count_python``) visits every vector, so it is
 compared with the kernel on the per-shell counts of shells 1..min(Q, 300).
@@ -19,10 +21,13 @@ Usage: python benchmarks/compare_kernels.py [--Q 2000] [--repeats 3]
 
 import argparse
 import json
+import os
+import statistics
+import subprocess
+import sys
 import time
 from fractions import Fraction
-
-import numpy as np
+from pathlib import Path
 
 from kglab._kernels import count_by_shell_raw, count_python
 from kglab.counting import CountTable, chi_term, main_term, make_report
@@ -34,6 +39,8 @@ SCALE = 192
 ORACLE_MAX_Q = 300
 PSI = PowerLaw(Fraction(1), Fraction(3, 4))
 ORACLE_PSIS = (PSI, PowerLaw(Fraction(1, 2), Fraction(1)))
+IMPORT_RUNS = 5
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def best_of(repeats: int, fn):
@@ -44,6 +51,20 @@ def best_of(repeats: int, fn):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def import_seconds(runs: int) -> float:
+    """Median time of ``import kglab.cli`` over ``runs`` fresh interpreters,
+    after one warm-up run (which may compile bytecode) is discarded."""
+    code = ("import time; t = time.perf_counter(); import kglab.cli; "
+            "print(time.perf_counter() - t)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    times = [float(subprocess.run([sys.executable, "-c", code], env=env,
+                                  check=True, capture_output=True,
+                                  text=True).stdout)
+             for _ in range(runs + 1)]
+    return statistics.median(times[1:])
 
 
 def report_mismatches(Q: int) -> list[str]:
@@ -72,6 +93,8 @@ def bench(Q: int, repeats: int, json_path: str | None) -> int:
     print(f"  table: Q = {Q}: {out['table_s']:8.3f} s")
     print(f" kernel: Q = {Q}: {out['kernel_s']:8.3f} s   N = {rep.N}")
     print(f" report: Q = {Q}: {out['report_s']:8.5f} s")
+    out["import_s"] = import_seconds(IMPORT_RUNS)
+    print(f" import: kglab.cli: {out['import_s']:8.3f} s")
     if json_path:
         with open(json_path, "w") as fh:
             json.dump({"Q": Q, "repeats": repeats, **out}, fh, indent=1)
@@ -81,9 +104,9 @@ def bench(Q: int, repeats: int, json_path: str | None) -> int:
     ref = count_python(*raw, q_ref)
     print(f" oracle: Q = {q_ref}: {time.perf_counter() - t0:8.3f} s")
     status = 0
-    if not np.array_equal(counts[:q_ref + 1], ref):
-        bad = np.flatnonzero(counts[:q_ref + 1] != ref)
-        print(f"MISMATCH with the oracle on shells {bad.tolist()[:10]}")
+    bad = [n for n in range(q_ref + 1) if counts[n] != ref[n]]
+    if bad:
+        print(f"MISMATCH with the oracle on shells {bad[:10]}")
         status = 1
     else:
         print(f"kernel and oracle agree on shells 1..{q_ref}")

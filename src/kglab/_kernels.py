@@ -5,12 +5,16 @@ integer arithmetic on mantissas mod M = 2**scale_bits: a vector with
 v = (q1*m1 + q2*m2 - mg) mod M scores [v <= T] + [v >= M - T and T > 0]
 against its shell threshold T, so a tie v = M/2 = T counts twice.
 ``count_by_shell_raw`` counts each shell with ``floor_sum`` in O(log M)
-big-integer steps; ``count_python`` walks every vector and is its oracle.
+big-integer steps and returns the counts as a ``list[int]``;
+``count_python`` walks every vector and is its oracle.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -32,7 +36,7 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
 
 
 def count_by_shell_raw(m1: int, m2: int, mg: int, scale_bits: int,
-                       thresholds: list[int], Q: int) -> np.ndarray:
+                       thresholds: list[int], Q: int) -> list[int]:
     """Per-shell solution counts; index n holds the shell-n contribution.
 
     Shell n is the rows q1 = +-n (step m2, 2n+1 terms) and the columns
@@ -43,7 +47,7 @@ def count_by_shell_raw(m1: int, m2: int, mg: int, scale_bits: int,
     """
     M = 1 << scale_bits
     m1, m2, mg = m1 % M, m2 % M, mg % M
-    out = np.zeros(Q + 1, dtype=np.int64)
+    out = [0] * (Q + 1)
     for n in range(1, Q + 1):
         T = thresholds[n]
         c = 0
@@ -60,7 +64,11 @@ def count_by_shell_raw(m1: int, m2: int, mg: int, scale_bits: int,
 
 def count_python(m1: int, m2: int, mg: int, scale_bits: int,
                  thresholds: list[int], Q: int) -> np.ndarray:
-    """Per-shell counts by walking each sup-norm shell's perimeter."""
+    """Per-shell counts by walking each sup-norm shell's perimeter, as an
+    int64 array: ``perfbench/checks.py`` sums a slice of it with
+    ``.sum()``.  numpy is imported here, off the kernel's import path."""
+    import numpy as np
+
     one = 1 << scale_bits
     m1, m2, mg = m1 % one, m2 % one, mg % one
     out = np.zeros(Q + 1, dtype=np.int64)

@@ -17,10 +17,7 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-
-import numpy as np
 
 from . import __version__
 from .cfrac import CFExpansion, cf_expand, cf_to_surd, convergents, make_liouville
@@ -297,8 +294,8 @@ def _count_trial(payload) -> tuple[int, list[int]]:
     seed = derive_seed(base_seed, trial)
     rng = RngStream(seed)
     alpha = rng.sample_torus_point(scale_bits)
-    counts = count_by_thresholds(alpha, q_max, gamma, thresholds, scale_bits)
-    return trial, [int(x) for x in counts]
+    return trial, count_by_thresholds(alpha, q_max, gamma, thresholds,
+                                      scale_bits)
 
 
 def _config_hash(args: argparse.Namespace, keys: list[str]) -> str:
@@ -364,6 +361,8 @@ def cmd_count(args: argparse.Namespace) -> int:
             record(t, done[t])
         run = map
         if workers > 1 and len(payloads) > 1:
+            # imported here, so only a multi-process run loads the pool
+            from concurrent.futures import ProcessPoolExecutor
             run = stack.enter_context(ProcessPoolExecutor(workers)).map
         for trial, counts in run(_count_trial, payloads):
             record(trial, counts)
@@ -372,9 +371,9 @@ def cmd_count(args: argparse.Namespace) -> int:
                     seed_derivation="splitmix64(seed ^ salt + (trial+1)*gamma)")
     out = Output(args.out, args.format, meta, columns=CountReport.CSV_COLUMNS)
     for trial in range(trials):
-        arr = np.array(results[trial], dtype=np.int64)
+        counts = results[trial]
         for Q in qlist:
-            rep = make_report(derive_seed(seed, trial), arr, Q, table,
+            rep = make_report(derive_seed(seed, trial), counts, Q, table,
                               delta_log, args.gamma, args.psi)
             out.row(rep.json_dict())
     out.finish()

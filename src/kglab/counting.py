@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from ._kernels import count_by_shell_raw
 from .fixedpoint import DEFAULT_SCALE_BITS, FixedPoint, PrecisionError
 from .lattice import divisor_sums, divisors, shell_size
@@ -60,9 +58,10 @@ def check_precision_range(Q: int, scale_bits: int) -> None:
 
 def count_by_shell(alpha: tuple[FixedPoint, FixedPoint], Q: int, gamma,
                    psi: ApproxFunction,
-                   scale_bits: int | None = None) -> np.ndarray:
-    """Shell-indexed counts: entry n is the number of (p, q) solutions with
-    |q| = n.  Sum of entries 1..Q is N(alpha, Q, gamma)."""
+                   scale_bits: int | None = None) -> list[int]:
+    """Shell-indexed counts as a ``list[int]``: entry n is the number of
+    (p, q) solutions with |q| = n.  Sum of entries 1..Q is
+    N(alpha, Q, gamma)."""
     a1, a2 = alpha
     s = scale_bits or max(a1.scale_bits, a2.scale_bits, DEFAULT_SCALE_BITS)
     check_precision_range(Q, s)  # before psi is evaluated Q times
@@ -70,7 +69,7 @@ def count_by_shell(alpha: tuple[FixedPoint, FixedPoint], Q: int, gamma,
 
 
 def count_by_thresholds(alpha: tuple[FixedPoint, FixedPoint], Q: int, gamma,
-                        thresholds: list[int], scale_bits: int) -> np.ndarray:
+                        thresholds: list[int], scale_bits: int) -> list[int]:
     """``count_by_shell`` with psi given as its shell thresholds
     thresholds[n] = floor(psi(n) * 2**scale_bits) for n <= Q."""
     if Q < 1:
@@ -90,7 +89,7 @@ def count_solutions(alpha: tuple[FixedPoint, FixedPoint], Q: int, gamma,
                     psi: ApproxFunction, scale_bits: int | None = None) -> int:
     """N(alpha, Q, gamma): solutions of ||q.alpha - gamma|| <= psi(|q|)
     over 0 < |q| <= Q, counting admissible integers p."""
-    return int(count_by_shell(alpha, Q, gamma, psi, scale_bits).sum())
+    return sum(count_by_shell(alpha, Q, gamma, psi, scale_bits))
 
 
 def main_term(psi: ApproxFunction, Q: int, mode: str = "exact-shell") -> Fraction:
@@ -209,12 +208,12 @@ class CountReport:
         }
 
 
-def make_report(seed: int, shell_counts: np.ndarray, Q: int,
+def make_report(seed: int, shell_counts: list[int], Q: int,
                 table: CountTable, delta_log: Fraction, gamma_id: str,
                 psi_id: str) -> CountReport:
     """Assemble a CountReport from per-shell counts (prefix up to Q) and
     the run's psi table, which must hold the sums at Q."""
-    N = int(shell_counts[1:Q + 1].sum())
+    N = sum(shell_counts[1:Q + 1])
     psi_exact, psi_paper, chi = table.terms[Q]
     err = None
     if psi_exact > _E_UPPER:

@@ -15,7 +15,9 @@ the same measure by an endpoint sweep instead.  The series are integer
 sums (``overlap_1d_num``) over a denominator the caller knows, so a caller
 that adds or compares many overlaps, as the variance sums and the Lemma 3
 sweep do, need not build a Fraction for each; ``overlap_exact_1d`` is the
-one Fraction form.
+one Fraction form.  ``overlap_2d_grid_oracle`` estimates a 2-D overlap
+from the cell centers of an R x R grid, counted exactly with one int
+bitmask per grid row and set.
 
 Irrational shifts enter through their fixed-point representatives, so all
 arithmetic below is exact rational arithmetic.
@@ -26,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-import numpy as np
 
 from .fixedpoint import DEFAULT_SCALE_BITS, FixedPoint
 from .lattice import LatticeVector
@@ -228,8 +228,8 @@ def overlap_2d(q_vec, r_vec, psi: ApproxFunction, gamma,
 # -- grid oracle ---------------------------------------------------------------
 
 
-def _membership_table(q: LatticeVector, t: Fraction, shift: Fraction,
-                      resolution: int) -> np.ndarray:
+def _membership_table(t: Fraction, shift: Fraction,
+                      resolution: int) -> list[bool]:
     """Membership of cell centers, keyed by the residue a of
     q1*(2i+1) + q2*(2j+1) mod 2*resolution, which determines the exact
     value of ||q.center - shift||."""
@@ -237,11 +237,42 @@ def _membership_table(q: LatticeVector, t: Fraction, shift: Fraction,
     gn, gd = shift.numerator, shift.denominator
     D = two_r * gd
     tn, td = t.numerator, t.denominator
-    out = np.zeros(two_r, dtype=bool)
+    out = []
     for a in range(two_r):
         w = (a * gd - two_r * gn) % D
-        out[a] = min(w, D - w) * td <= tn * D
+        out.append(min(w, D - w) * td <= tn * D)
     return out
+
+
+def _row_masks(q: LatticeVector, t: Fraction, shift: Fraction,
+               resolution: int) -> list[int]:
+    """Membership of the cell centers ((2i+1)/2R, (2j+1)/2R) in A_q, R =
+    resolution: entry i has bit j set when cell (i, j) lies in A_q.
+
+    Along a row the residue q1*(2i+1) + q2*(2j+1) mod 2R steps by 2*q2, so
+    it stays in one coset of g = gcd(2*q2, 2R) and repeats with period
+    P = 2R/g.  Each coset's memberships, in the order the row visits them
+    and repeated to at least P + R - 1 bits, hold every row of that coset
+    as the R bits from the row's first residue on."""
+    two_r = 2 * resolution
+    member = _membership_table(t, shift, resolution)
+    step = 2 * q.q2 % two_r
+    g = gcd(step, two_r)
+    period = two_r // g
+    reps = -(-(period + resolution - 1) // period)
+    repunit = ((1 << period * reps) - 1) // ((1 << period) - 1)
+    patterns = []
+    where = [0] * two_r  # where[a]: position of a in its coset's order
+    for c0 in range(g):
+        bits, a = 0, c0
+        for k in range(period):
+            where[a] = k
+            bits |= member[a] << k
+            a = (a + step) % two_r
+        patterns.append(bits * repunit)
+    full = (1 << resolution) - 1
+    starts = ((q.q1 * (2 * i + 1) + q.q2) % two_r for i in range(resolution))
+    return [patterns[a % g] >> where[a] & full for a in starts]
 
 
 def _cells_cut_bound(q: LatticeVector, resolution: int) -> int:
@@ -258,26 +289,18 @@ def overlap_2d_grid_oracle(q_vec, r_vec, psi: ApproxFunction, gamma,
                            scale_bits: int = DEFAULT_SCALE_BITS,
                            ) -> tuple[Fraction, Fraction]:
     """(estimate, error bound): fraction of cell centers lying in both
-    sets, with a rigorous bound counting boundary-straddling cells."""
+    sets, with a rigorous bound counting boundary-straddling cells.
+
+    The count is exact: each row of the grid is one int bitmask per set
+    (``_row_masks``), and the cells in both sets number
+    sum_i popcount(mask_q[i] & mask_r[i])."""
     if resolution < 100:
         raise ValueError("resolution must be >= 100")
     q, r = _as_vec(q_vec), _as_vec(r_vec)
     shift = as_shift(gamma, scale_bits)
-    tq, tr = eval_psi(psi, q.norm), eval_psi(psi, r.norm)
-    two_r = 2 * resolution
-    table_q = _membership_table(q, tq, shift, resolution)
-    table_r = _membership_table(r, tr, shift, resolution)
-
-    i = np.arange(resolution, dtype=np.int64)
-    odd = 2 * i + 1
-
-    def residue_grid(v: LatticeVector) -> np.ndarray:
-        u = (v.q1 * odd) % two_r
-        w = (v.q2 * odd) % two_r
-        return (u[:, None] + w[None, :]) % two_r
-
-    inside = table_q[residue_grid(q)] & table_r[residue_grid(r)]
-    count = int(np.count_nonzero(inside))
+    masks_q = _row_masks(q, eval_psi(psi, q.norm), shift, resolution)
+    masks_r = _row_masks(r, eval_psi(psi, r.norm), shift, resolution)
+    count = sum((a & b).bit_count() for a, b in zip(masks_q, masks_r))
     estimate = Fraction(count, resolution ** 2)
     bound = Fraction(_cells_cut_bound(q, resolution)
                      + _cells_cut_bound(r, resolution), resolution ** 2)

@@ -3,7 +3,11 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -279,6 +283,27 @@ class TestOtherCommands:
                          "--probe-limit", "1000")
         doc = json.loads(body)
         assert doc["t"] == "2" and doc["dim"] == "2"
+
+    def test_import_leaves_numpy_and_pool_out(self):
+        # a fresh interpreter: importing kglab.cli loads neither numpy nor
+        # the process pool; hausdorff then imports numpy on first use
+        code = (
+            "import sys, kglab.cli\n"
+            "lazy = ('numpy', 'concurrent.futures.process')\n"
+            "print([m for m in lazy if m in sys.modules])\n"
+            "rc = kglab.cli.main(['hausdorff', '--exponent', '2',\n"
+            "                     '--probe-limit', '1000', '--out', '-'])\n"
+            "print(rc, 'numpy' in sys.modules)\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "[]"
+        assert json.loads(lines[-2])["t"] == "2"
+        assert lines[-1] == f"{EXIT_OK} True"
 
     def test_vanishing_sweep_csv(self, tmp_path):
         code, body = run(tmp_path, "lemma3-sweep", "--gamma", "sqrt:2",

@@ -119,8 +119,7 @@ def test_incremental_shells_match_recount():
     a = alpha_for(9)
     counts = count_by_shell(a, 60, SQRT2, PSI_34)
     for Q in (1, 7, 23, 60):
-        assert int(counts[1:Q + 1].sum()) == count_solutions(a, Q, SQRT2,
-                                                             PSI_34)
+        assert sum(counts[1:Q + 1]) == count_solutions(a, Q, SQRT2, PSI_34)
 
 
 def test_monotone_in_Q_and_psi():
@@ -130,7 +129,7 @@ def test_monotone_in_Q_and_psi():
     assert all(n_prefix[i] <= n_prefix[i + 1] for i in range(50))
     smaller = PowerLaw(F(1, 2), F(3, 4))  # pointwise <= PSI_34
     n_small = count_solutions(a, 50, SQRT2, smaller)
-    assert n_small <= int(counts.sum())
+    assert n_small <= sum(counts)
 
 
 def test_boundary_tie_counts_two():
@@ -155,7 +154,7 @@ def test_exact_tie_rule_single_axis():
     n = count_solutions(a, 1, 0, psi)
     assert n == 2 * 2 + 6 * 1
     ref = oracle_by_shell(a, 1, 0, psi)
-    assert n == int(ref.sum())
+    assert n == sum(ref)
 
 
 def test_precision_range_rejected():
@@ -253,7 +252,7 @@ def test_report_roundtrip():
     counts = count_by_shell(a, 30, SQRT2, PSI_34)
     table = CountTable(PSI_34, [30], 192)
     rep = make_report(123, counts, 30, table, F(1, 2), "sqrt:2", "pow:1,3/4")
-    assert rep.N == int(counts.sum())
+    assert rep.N == sum(counts)
     assert set(CountReport.CSV_COLUMNS) <= rep.json_dict().keys()
     assert rep.json_dict()["N"] == rep.N
 
@@ -262,7 +261,7 @@ def test_window_psi_counts_only_window():
     a = alpha_for(6)
     w = Window(PSI_34, 10, 20)
     counts = count_by_shell(a, 30, SQRT2, w)
-    assert int(counts[:10].sum()) == 0
-    assert int(counts[21:].sum()) == 0
+    assert sum(counts[:10]) == 0
+    assert sum(counts[21:]) == 0
     full = count_by_shell(a, 30, SQRT2, PSI_34)
     assert np.array_equal(counts[10:21], full[10:21])

@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kglab.psifunc import PowerLaw, TablePsi
+from kglab.psifunc import PowerLaw, TablePsi, eval_psi
 from kglab.surd import QuadraticSurd
 from kglab.torus import (TorusSet1D, as_shift, measure_2d, overlap_2d,
                          overlap_1d_num, overlap_2d_grid_oracle,
@@ -123,6 +123,82 @@ class TestGridOracle:
             errs.append((res, float(bound)))
         # declared bound decays ~ 1/res
         assert errs[0][1] > errs[2][1] > 0
+
+
+def grid_count_by_cells(q, r, psi, gamma, resolution):
+    """Cells of the resolution x resolution grid whose centers lie in both
+    A_q and A_r, one cell at a time: the center ((2i+1)/2R, (2j+1)/2R) is
+    in A_v when ||v.center - shift|| <= psi(|v|), decided in integers over
+    the denominator D = 2R * denominator(shift)."""
+    shift = as_shift(gamma)
+    two_r = 2 * resolution
+    D = two_r * shift.denominator
+    offset = two_r * shift.numerator
+
+    tq, tr = (eval_psi(psi, max(abs(v[0]), abs(v[1]))) for v in (q, r))
+
+    def inside(v, t, x, y):
+        w = ((v[0] * x + v[1] * y) * shift.denominator - offset) % D
+        return min(w, D - w) * t.denominator <= t.numerator * D
+
+    odd = range(1, two_r, 2)
+    return sum(inside(q, tq, x, y) and inside(r, tr, x, y)
+               for x in odd for y in odd)
+
+
+# (q, r, psi, gamma) for the bitmask grid oracle against the cell loop
+GRID_CASES = [
+    # psi = 1/2: every center is inside; with gamma = 0 and R = 101 the
+    # row through 1/2 ties exactly
+    ((1, 0), (0, 1), PowerLaw(F(1, 2), F(0)), SQRT2),
+    ((1, 0), (1, 1), PowerLaw(F(1, 2), F(0)), 0),
+    ((3, -2), (1, 1), PowerLaw(F(1, 2), F(0)), F(3, 7)),
+    # psi = 1/8 on the boundary of the centers 25/200 at R = 100
+    ((1, 0), (0, 1), TablePsi({1: F(1, 8)}), 0),
+    # psi = 0: only exact hits count, and R = 101 has one, at (1/2, 1/2)
+    ((2, 0), (0, 2), TablePsi({}), 0),
+    ((1, 0), (0, 1), TablePsi({}), SQRT2),
+    # rational gamma, parallel and not
+    ((3, 1), (1, 2), PSI_CONST, F(3, 7)),
+    ((2, 4), (1, 2), PSI_ROOT, 0),
+    # zero and negative coordinates
+    ((0, 3), (5, 0), PSI_CONST, SQRT2),
+    ((-3, -5), (2, -7), PSI_ROOT, F(3, 7)),
+    # q2 sharing a factor with R: several residue cosets per row, down to
+    # one residue per coset when 2*q2 = 0 mod 2R
+    ((3, 10), (7, 50), PSI_CONST, SQRT2),
+    ((1, 64), (-5, 100), PSI_CONST, 0),
+    ((1, 101), (2, 128), TablePsi({101: F(1, 4), 128: F(1, 3)}), F(3, 7)),
+]
+
+
+@pytest.mark.parametrize("resolution", [100, 101, 128])
+@pytest.mark.parametrize("q, r, psi, gamma", GRID_CASES)
+def test_grid_oracle_matches_cell_loop(q, r, psi, gamma, resolution):
+    est, _ = overlap_2d_grid_oracle(q, r, psi, gamma, resolution)
+    count = grid_count_by_cells(q, r, psi, gamma, resolution)
+    assert est == F(count, resolution ** 2)
+
+
+def test_grid_cases_reach_the_boundary():
+    # GRID_CASES hold centers exactly on a boundary: at psi = 1/8 they
+    # count (a slightly smaller psi loses them), and psi = 0 has one hit
+    def count(t, resolution):
+        return grid_count_by_cells((1, 0), (0, 1), TablePsi({1: t}), 0,
+                                   resolution)
+
+    eps = F(1, 10 ** 6)
+    assert count(F(1, 8) - eps, 100) < count(F(1, 8), 100)
+    assert count(F(1, 8), 100) == count(F(1, 8) + eps, 100)
+    half = PowerLaw(F(1, 2), F(0))
+    assert grid_count_by_cells((1, 0), (1, 1), half, 0, 101) == 101 ** 2
+    assert grid_count_by_cells((2, 0), (0, 2), TablePsi({}), 0, 101) == 1
+    assert grid_count_by_cells((2, 0), (0, 2), TablePsi({}), 0, 100) == 0
+
+
+def test_grid_oracle_keeps_resolution_floor():
+    with pytest.raises(ValueError):
+        overlap_2d_grid_oracle((1, 0), (0, 1), PSI_CONST, SQRT2, 99)
 
 
 class TestParallelBound:
