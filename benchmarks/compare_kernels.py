@@ -13,7 +13,8 @@ The shell-walk oracle (``count_python``) visits every vector, so it is
 compared with the kernel on the per-shell counts of shells 1..min(Q, 300).
 At min(Q, 300) the report terms are compared with ``main_term`` in both
 modes and ``chi_term``, for this psi and for 1/(2q), whose denominator is
-lcm(1..Q).  Exits 1 on any mismatch.  --json writes the timings to a file.
+lcm(1..Q).  Exits 1 on any mismatch.  --json writes the timings to a file,
+with the run's provenance (``provenance.py``).
 
 Usage: python benchmarks/compare_kernels.py [--Q 2000] [--repeats 3]
                                             [--json PATH]
@@ -34,6 +35,7 @@ from kglab.counting import CountTable, chi_term, main_term, make_report
 from kglab.psifunc import PowerLaw
 from kglab.rng import RngStream
 from kglab.surd import QuadraticSurd, surd_eval
+from provenance import provenance
 
 SCALE = 192
 ORACLE_MAX_Q = 300
@@ -97,7 +99,8 @@ def bench(Q: int, repeats: int, json_path: str | None) -> int:
     print(f" import: kglab.cli: {out['import_s']:8.3f} s")
     if json_path:
         with open(json_path, "w") as fh:
-            json.dump({"Q": Q, "repeats": repeats, **out}, fh, indent=1)
+            json.dump({"Q": Q, "repeats": repeats, **out,
+                       "provenance": provenance()}, fh, indent=1)
 
     q_ref = min(Q, ORACLE_MAX_Q)
     t0 = time.perf_counter()

@@ -18,7 +18,8 @@ Layers, at --Q (default 200) with psi = 1/4 q^-1/2 and gamma = sqrt(2):
 ``variance_full`` at Q <= 3 and two order windows of norm <= 4 are
 compared with the all-pairs ``variance_bruteforce``, and every sweep row at
 Q = 8 with ``overlap_sweep_oracle`` and ``lemma3_bound``, for four psi and
-four gamma; exits 1 on any mismatch.  --json writes the timings to a file.
+four gamma; exits 1 on any mismatch.  --json writes the timings to a file,
+with the run's provenance (``provenance.py``).
 
 Usage: python benchmarks/compare_variance.py [--Q 200] [--repeats 3]
                                              [--json PATH]
@@ -41,6 +42,7 @@ from kglab.variance import (_PairEngine, vanishing_bound_sweep,
                             variance_bruteforce, variance_full,
                             variance_window)
 from kglab.witness import NonLiouvilleWitness, fit_witness
+from provenance import provenance
 
 SCALE = 192
 PSI = PowerLaw(Fraction(1, 4), Fraction(1, 2))
@@ -180,7 +182,8 @@ def bench(Q: int, repeats: int, json_path: str | None) -> int:
     print(f"    cli: Q = {Q}: {out['sweep_cli_s']:8.3f} s for lemma3-sweep")
     if json_path:
         with open(json_path, "w") as fh:
-            json.dump({"Q": Q, "repeats": repeats, **out}, fh, indent=1)
+            json.dump({"Q": Q, "repeats": repeats, **out,
+                       "provenance": provenance()}, fh, indent=1)
     bad = oracle_mismatches()
     if bad:
         print(f"MISMATCH with variance_bruteforce: {bad[:5]}")

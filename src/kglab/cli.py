@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import __version__
 from .cfrac import CFExpansion, cf_expand, cf_to_surd, convergents, make_liouville
@@ -32,7 +33,8 @@ from .surd import QuadraticSurd
 from .torus import (TorusSet1D, is_parallel, overlap_2d,
                     overlap_2d_grid_oracle, overlap_exact_1d,
                     overlap_sweep_oracle, parallel_overlap_bound)
-from .variance import vanishing_bound_sweep, variance_full, variance_window
+from .variance import (SweepSummary, sweep_classes, variance_full,
+                       variance_window)
 from .witness import (ETA_MAX_DEFAULT, NonLiouvilleWitness, WitnessFitFailure,
                       fit_witness)
 
@@ -52,6 +54,13 @@ COUNT_DOMAIN_NOTE = "0 < |q| <= Q; the q = 0 vector is excluded"
 
 class ConfigError(ValueError):
     pass
+
+
+class OutputError(Exception):
+    """--out, or the checkpoint beside it, cannot be written."""
+
+    def __init__(self, path: str, exc: OSError) -> None:
+        super().__init__(f"cannot write {path}: {exc.strerror or exc}")
 
 
 # -- spec-string parsing -------------------------------------------------------
@@ -216,12 +225,21 @@ def csv_line(values) -> str:
     return line + "\r\n"
 
 
+def fraction_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for integers n and d >= 1, from one gcd: n/d in
+    lowest terms, or the integer alone when d divides n (0 when n is 0)."""
+    g = gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
+
+
 class Output:
     """Single collector writing CSV or JSONL with a metadata head line.
 
     Each row is one dict. CSV writes row[c] for each column through
     ``csv_line``; JSONL writes the dict with sorted keys. Other values
-    (Fractions) become str() in both.
+    (Fractions) become str() in both.  ``records`` appends CSV lines that
+    a command formatted itself (``lemma3-sweep``); they leave through
+    ``finish`` like every row.
     """
 
     def __init__(self, path: str, fmt: str, meta: dict, columns=()) -> None:
@@ -245,6 +263,10 @@ class Output:
             self.buf.write(csv_line(map(row.__getitem__, self.columns)))
         else:
             self.buf.write(json.dumps(row, sort_keys=True, default=str) + "\n")
+
+    def records(self, lines: list[str]) -> None:
+        """Append CSV records already formatted, each CRLF-terminated."""
+        self.buf.writelines(lines)
 
     def finish(self) -> None:
         emit(self.path, self.buf.getvalue())
@@ -273,9 +295,11 @@ def write_atomic(path: str, data: str) -> None:
         with open(tmp, "w", newline="") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise OutputError(path, exc) from exc
         raise
 
 
@@ -346,7 +370,11 @@ def cmd_count(args: argparse.Namespace) -> int:
                 for t in range(trials) if t not in done]
     results: dict[int, list[int]] = {}
     with contextlib.ExitStack() as stack:
-        ckpt = stack.enter_context(open(ckpt_path, "w")) if ckpt_path else None
+        try:
+            ckpt = (stack.enter_context(open(ckpt_path, "w")) if ckpt_path
+                    else None)
+        except OSError as exc:
+            raise OutputError(ckpt_path, exc) from exc
 
         def record(trial: int, counts: list[int]) -> None:
             results[trial] = counts
@@ -376,10 +404,20 @@ def cmd_count(args: argparse.Namespace) -> int:
             rep = make_report(derive_seed(seed, trial), counts, Q, table,
                               delta_log, args.gamma, args.psi)
             out.row(rep.json_dict())
-    out.finish()
-    if ckpt_path and os.path.exists(ckpt_path):
-        os.remove(ckpt_path)
+    try:
+        out.finish()
+    except OutputError:
+        # main reports it; no checkpoint is left beside an --out that
+        # cannot be written
+        _remove_checkpoint(ckpt_path)
+        raise
+    _remove_checkpoint(ckpt_path)
     return EXIT_OK
+
+
+def _remove_checkpoint(path: str | None) -> None:
+    if path and os.path.exists(path):
+        os.remove(path)
 
 
 # -- overlap ---------------------------------------------------------------------
@@ -570,7 +608,27 @@ def cmd_vanishing_sweep(args: argparse.Namespace) -> int:
     if isinstance(w, WitnessFitFailure):
         print(f"witness fit failed: {w}", file=sys.stderr)
         return EXIT_FAIL
-    rows, summary = vanishing_bound_sweep(Q, psi, w, gamma, scale_bits)
+    summary = SweepSummary()
+    cols = ("d", "e", "r", "q", "threshold", "overlap", "bound", "status", "rel")
+    as_csv = args.format == "csv"
+    records: list = []  # CSV lines, or for JSONL one tuple of cells per row
+    for (d, e, r, q, thr, bnum, bden, oden, same, s_same, opp,
+         s_opp) in sweep_classes(Q, psi, w, gamma, scale_bits, summary):
+        bound = None if bnum is None else fraction_text(bnum, bden)
+        if as_csv:
+            # every cell is an int, a reduced fraction or a fixed word, so
+            # none needs quoting and the lines skip csv_line
+            head = f"{d},{e},{r},{q},{thr},"
+            tail = ",," if bound is None else f",{bound},"
+            records.append(f"{head}{fraction_text(same, oden)}{tail}"
+                           f"{s_same},same\r\n")
+            records.append(f"{head}{fraction_text(opp, oden)}{tail}"
+                           f"{s_opp},opp\r\n")
+        else:
+            records.append((d, e, r, q, thr, fraction_text(same, oden),
+                            bound, s_same, "same"))
+            records.append((d, e, r, q, thr, fraction_text(opp, oden),
+                            bound, s_opp, "opp"))
     meta = metadata(args, _SWEEP_KEYS,
                     witness={"eta": w.eta, "c": str(w.c), "C": str(w.C),
                              "epsilon": str(w.epsilon), "M": w.M,
@@ -580,10 +638,12 @@ def cmd_vanishing_sweep(args: argparse.Namespace) -> int:
                              "bound_satisfied": summary.n_bound_satisfied,
                              "violations": summary.n_violations,
                              "max_bound_ratio": float(summary.max_bound_ratio)})
-    cols = ("d", "e", "r", "q", "threshold", "overlap", "bound", "status", "rel")
     out = Output(args.out, args.format, meta, columns=cols)
-    for row in rows:
-        out.row(row._asdict())  # SweepRow fields, named as the columns
+    if as_csv:
+        out.records(records)
+    else:
+        for cells in records:
+            out.row(dict(zip(cols, cells)))
     out.finish()
     return EXIT_OK if summary.ok() else EXIT_FAIL
 
@@ -684,6 +744,9 @@ def main(argv=None) -> int:
         return EXIT_PRECISION
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

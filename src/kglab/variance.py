@@ -17,13 +17,17 @@ measures is an integer over L*sd*td**2 (the measure fields are over td).
 A variance report sums these integers and builds each field as one
 Fraction at the end.  The sweep takes each overlap unscaled, as an integer
 over lcm(d, e)*sd*td**2, and compares it with its Lemma 3 bound (an
-integer over d*td**2) by cross-multiplication.  It builds Fractions only
-for the rows it returns, over lcm(d, e)*sd*td**2 rather than the far larger
-L*sd*td**2, and for the largest overlap/bound ratio.
+integer over d*td**2) by cross-multiplication.  Its one decision loop,
+``sweep_classes``, yields these numerators and denominators per class and
+builds one Fraction, the largest overlap/bound ratio.  Two consumers
+format them: ``vanishing_bound_sweep`` as Fraction-valued rows, and
+``kglab lemma3-sweep`` as output cells, each reduced by one gcd with no
+Fraction.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -302,25 +306,31 @@ class SweepSummary:
         return self.n_violations == 0
 
 
-def vanishing_bound_sweep(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
-                          gamma, scale_bits: int = DEFAULT_SCALE_BITS,
-                          collect_rows: bool = True,
-                          ) -> tuple[list[SweepRow], SweepSummary]:
-    """Check every parallel pair class with |r| < |q| <= Q against the
-    vanishing threshold and the overlap bound, in both relative signs.
+def sweep_classes(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
+                  gamma, scale_bits: int, summary: SweepSummary,
+                  ) -> Iterator[tuple]:
+    """The sweep's one decision loop: check every parallel pair class with
+    |r| < |q| <= Q against the vanishing threshold and the overlap bound,
+    in both relative signs, all in integers.
 
     A class is (direction norm, d, e): the overlap does not depend on which
-    of the 4*phi(n) primitive directions of norm n carries the pair.  Rows
-    are decided in integers; with ``collect_rows`` False no row Fraction is
-    built.
+    of the 4*phi(n) primitive directions of norm n carries the pair.  For
+    each class this yields the tuple
+
+        (d, e, r, q, threshold, bnum, bden, oden,
+         same, same_status, opp, opp_status)
+
+    with the bound bnum/bden = bnum/(d*td**2), bnum None beyond the
+    threshold, and the same-sign and opposite-sign overlaps same/oden and
+    opp/oden, oden = lcm(d, e)*sd*td**2, neither fraction reduced.  Once
+    the loop is exhausted, ``summary`` holds the tally and the largest
+    overlap/bound ratio.
     """
     if not w.analytic and w.q_max < Q:
         raise ValueError(f"witness certified only up to {w.q_max} < Q={Q}")
     engine = _PairEngine(psi, gamma, scale_bits, Q)
     psi_num, td, sd = engine.psi_num, engine.td, engine.sd
     td2 = td * td
-    zero = Fraction(0)
-    rows: list[SweepRow] = []
     tally = {"zero-confirmed": 0, "bound-satisfied": 0, "VIOLATION": 0}
     best_num, best_den = 0, 1     # max ov/bound so far, as a pair
     for np_ in range(1, Q + 1):
@@ -328,37 +338,63 @@ def vanishing_bound_sweep(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
             thr = vanish_threshold(w, d)
             q_norm = d * np_
             pn = psi_num[q_norm]
+            bden = d * td2
             for e in range(1, d):
                 r_norm = e * np_
-                beyond = r_norm > thr
                 # ov = raw/(l*sd*td**2) with l = lcm(d, e) and bound =
                 # bnum/(d*td**2), so ov <= bound  <=>  raw*d <= bnum*l*sd
                 l_sd = lcm(d, e) * sd
-                row_bound = None
-                if not beyond:
+                same, opp = engine.pair_raw(np_, d, e)
+                if r_norm > thr:
+                    bnum = None
+                    s_same = "zero-confirmed" if same == 0 else "VIOLATION"
+                    s_opp = "zero-confirmed" if opp == 0 else "VIOLATION"
+                else:
                     bnum = lemma3_bound_num(pn, psi_num[r_norm], td, d, e)
                     b_scaled = bnum * l_sd
-                    if collect_rows:
-                        row_bound = Fraction(bnum, d * td2)
-                same, opp = engine.pair_raw(np_, d, e)
-                for raw, rel in ((same, "same"), (opp, "opp")):
-                    if beyond:
-                        status = "zero-confirmed" if raw == 0 else "VIOLATION"
-                    else:
-                        n_scaled = raw * d
-                        status = ("bound-satisfied" if n_scaled <= b_scaled
-                                  else "VIOLATION")
-                        if bnum > 0 and n_scaled * best_den > best_num * b_scaled:
-                            best_num, best_den = n_scaled, b_scaled
-                    tally[status] += 1
-                    if collect_rows:
-                        rows.append(SweepRow(
-                            d, e, r_norm, q_norm, thr,
-                            Fraction(raw, l_sd * td2) if raw else zero,
-                            row_bound, status, rel))
-    summary = SweepSummary(sum(tally.values()), tally["zero-confirmed"],
-                           tally["bound-satisfied"], tally["VIOLATION"],
-                           Fraction(best_num, best_den))
+                    s_same = ("bound-satisfied" if same * d <= b_scaled
+                              else "VIOLATION")
+                    s_opp = ("bound-satisfied" if opp * d <= b_scaled
+                             else "VIOLATION")
+                    n_scaled = max(same, opp) * d
+                    if bnum > 0 and n_scaled * best_den > best_num * b_scaled:
+                        best_num, best_den = n_scaled, b_scaled
+                tally[s_same] += 1
+                tally[s_opp] += 1
+                yield (d, e, r_norm, q_norm, thr, bnum, bden, l_sd * td2,
+                       same, s_same, opp, s_opp)
+    summary.n_rows = sum(tally.values())
+    summary.n_zero_confirmed = tally["zero-confirmed"]
+    summary.n_bound_satisfied = tally["bound-satisfied"]
+    summary.n_violations = tally["VIOLATION"]
+    summary.max_bound_ratio = Fraction(best_num, best_den)
+
+
+def vanishing_bound_sweep(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
+                          gamma, scale_bits: int = DEFAULT_SCALE_BITS,
+                          collect_rows: bool = True,
+                          ) -> tuple[list[SweepRow], SweepSummary]:
+    """The rows and summary of ``sweep_classes``: two ``SweepRow``s per
+    class, same sign first, each overlap and bound a Fraction.  With
+    ``collect_rows`` False the loop runs for its summary only and no row
+    Fraction is built.
+    """
+    summary = SweepSummary()
+    classes = sweep_classes(Q, psi, w, gamma, scale_bits, summary)
+    rows: list[SweepRow] = []
+    if not collect_rows:
+        for _ in classes:
+            pass
+        return rows, summary
+    zero = Fraction(0)
+    for d, e, r, q, thr, bnum, bden, oden, same, s_same, opp, s_opp in classes:
+        bound = None if bnum is None else Fraction(bnum, bden)
+        rows.append(SweepRow(d, e, r, q, thr,
+                             Fraction(same, oden) if same else zero,
+                             bound, s_same, "same"))
+        rows.append(SweepRow(d, e, r, q, thr,
+                             Fraction(opp, oden) if opp else zero,
+                             bound, s_opp, "opp"))
     return rows, summary
 
 

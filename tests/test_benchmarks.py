@@ -1,5 +1,7 @@
 """The benchmark scripts still run: a symbol one of them imports cannot be
-deleted or renamed without this failing."""
+deleted or renamed without this failing.  The perfbench smoke run checks
+every op's output and golden digest, so a change that the benchmark would
+reject fails here too."""
 
 import os
 import subprocess
@@ -21,4 +23,13 @@ def test_benchmark_script_runs(argv):
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_perfbench_smoke_passes():
+    """Three ops of every perfbench workload, untraced and traced, each
+    checked against the oracles and golden digests of ``perfbench/``."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"],
+                          cwd=ROOT, capture_output=True, text=True,
+                          timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr

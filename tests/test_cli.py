@@ -12,11 +12,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kglab.cli import (EXIT_CONFIG, EXIT_OK, EXIT_PRECISION, Output,
-                       build_parser, main, parse_gamma, parse_psi, parse_qlist,
-                       parse_set1d)
+from kglab import cli
+from kglab.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, EXIT_PRECISION,
+                       Output, build_parser, fraction_text, main, parse_gamma,
+                       parse_psi, parse_qlist, parse_set1d)
 from kglab.psifunc import Clamp, PowerLaw, TablePsi, Window, psi_mantissas
 from kglab.surd import QuadraticSurd
+from kglab.variance import vanishing_bound_sweep
+from kglab.witness import NonLiouvilleWitness, fit_witness
 
 
 # the shell thresholds of the default psi (pow:1,3/4) at Q = 20, scale 192,
@@ -532,3 +535,92 @@ def test_csv_lines_match_csv_module(table):
         out.row(row)
         oracle.writerow([row[c] for c in columns])
     assert out.buf.getvalue() == "# {}\r\n" + want.getvalue()
+
+
+@pytest.mark.parametrize("argv", ["lemma3-sweep --Q 10",
+                                  "count --Q 10 --trials 2 --workers 1"])
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
+    out = tmp_path / "missing" / "x.csv"
+    if target == "directory":
+        out = tmp_path / "outdir"
+        out.mkdir()
+    capsys.readouterr()
+    code = main(argv.split() + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"output error: cannot write {out}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
+    assert left == (["outdir"] if target == "directory" else [])
+
+
+# Differential test of lemma3-sweep's row writer, which formats every cell
+# from integers, against the library's Fraction-valued SweepRows: psi(1) = 1/2
+# for pow:1/2,1, and pow:1/1000,1 gives zero-confirmed rows.
+SWEEP_Q = 12
+
+
+def check_sweep_cells(tmp_path, gamma_spec, psi_spec, w):
+    """Compare every CSV cell and JSONL field of the run with str() of the
+    library's row fields under witness w; return the rows."""
+    gamma, psi = parse_gamma(gamma_spec), parse_psi(psi_spec)
+    rows, summary = vanishing_bound_sweep(SWEEP_Q, psi, w, gamma)
+    argv = ["lemma3-sweep", "--gamma", gamma_spec, "--psi", psi_spec,
+            "--Q", str(SWEEP_Q)]
+    code, body = run(tmp_path, *argv)
+    assert code == (EXIT_OK if summary.ok() else EXIT_FAIL)
+    head, _, table = body.decode().partition("\r\n")
+    assert json.loads(head[2:])["summary"] == {
+        "rows": summary.n_rows, "zero_confirmed": summary.n_zero_confirmed,
+        "bound_satisfied": summary.n_bound_satisfied,
+        "violations": summary.n_violations,
+        "max_bound_ratio": float(summary.max_bound_ratio)}
+    header, *cells = csv.reader(io.StringIO(table, newline=""))
+    assert tuple(header) == rows[0]._fields
+    assert cells == [["" if v is None else str(v) for v in row]
+                     for row in rows]
+
+    code, body = run(tmp_path, *argv, "--format", "jsonl")
+    assert code == (EXIT_OK if summary.ok() else EXIT_FAIL)
+    records = [json.loads(line) for line in body.decode().splitlines()[1:]]
+    assert records == [
+        {k: v if v is None or type(v) is int else str(v)
+         for k, v in row._asdict().items()} for row in rows]
+    return rows
+
+
+@pytest.mark.parametrize("psi_spec", ["pow:1/4,1/2", "pow:1/2,1",
+                                      "pow:1/1000,1"])
+@pytest.mark.parametrize("gamma_spec", ["sqrt:2", "sqrt:3", "cf:1,3;5"])
+def test_sweep_cells_match_library_rows(tmp_path, gamma_spec, psi_spec):
+    gamma, psi = parse_gamma(gamma_spec), parse_psi(psi_spec)
+    rows = check_sweep_cells(tmp_path, gamma_spec, psi_spec,
+                             fit_witness(gamma, psi, SWEEP_Q))
+    if psi_spec == "pow:1/1000,1":
+        assert any(row.status == "zero-confirmed" for row in rows)
+
+
+def test_sweep_cells_every_status(tmp_path, monkeypatch):
+    """Under a witness that sqrt(2) does not satisfy, rows beyond the
+    threshold are zero-confirmed or violations, so the same-sign and
+    opposite-sign statuses of one class can differ."""
+    w = NonLiouvilleWitness(1, Fraction(1, 4), Fraction(1, 2), Fraction(1),
+                            SWEEP_Q, analytic=True)
+    monkeypatch.setattr(cli, "fit_witness", lambda *args, **kwargs: w)
+    rows = check_sweep_cells(tmp_path, "sqrt:2", "pow:1/16,1/2", w)
+    assert {row.status for row in rows} == {"zero-confirmed",
+                                            "bound-satisfied", "VIOLATION"}
+    assert any(a.status != b.status for a, b in zip(rows[::2], rows[1::2]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2**300, 2**300), st.integers(1, 2**300))
+@example(0, 1)
+@example(0, 7)
+@example(5, 1)
+@example(-12, 4)
+@example(3 * 2**200, 2**200)
+def test_fraction_text_matches_str_fraction(n, d):
+    assert fraction_text(n, d) == str(Fraction(n, d))
+    assert fraction_text(n * d, d) == str(n)
