@@ -13,7 +13,8 @@ Layers, at --Q (default 200) with psi = 1/4 q^-1/2 and gamma = sqrt(2):
             (``collect_rows=False``), witness fitted as the CLI fits it;
   sweep_cli the whole in-process ``kglab lemma3-sweep --Q Q`` run with
             the same psi and gamma, CSV written to a temporary file: the
-            sweep with rows plus the witness fit and the row writing.
+            sweep with rows plus the witness fit and the row writing; and
+            the peak RSS (ru_maxrss) of one such run in a fresh interpreter.
 
 ``variance_full`` at Q <= 3 and two order windows of norm <= 4 are
 compared with the all-pairs ``variance_bruteforce``, and every sweep row at
@@ -28,6 +29,9 @@ Usage: python benchmarks/compare_variance.py [--Q 200] [--repeats 3]
 import argparse
 import json
 import os
+import resource
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -37,6 +41,7 @@ from kglab.psifunc import PowerLaw, TablePsi, eval_psi
 from kglab.surd import QuadraticSurd
 from kglab.torus import (TorusSet1D, as_shift, lemma3_bound, overlap_1d_num,
                          overlap_sweep_oracle)
+import kglab
 from kglab import cli, variance
 from kglab.variance import (_PairEngine, vanishing_bound_sweep,
                             variance_bruteforce, variance_full,
@@ -109,6 +114,25 @@ def layer_split(Q: int, repeats: int) -> tuple[float, float]:
     return min(runs)
 
 
+def sweep_argv(Q: int, tmp: str) -> list[str]:
+    return ["lemma3-sweep", "--gamma", "sqrt:2", "--psi", "pow:1/4,1/2",
+            "--Q", str(Q), "--out", os.path.join(tmp, "sweep.csv")]
+
+
+def sweep_cli_peak_rss_mib(Q: int) -> float:
+    """Peak RSS in MiB of one ``kglab lemma3-sweep --Q Q`` in a fresh
+    interpreter: ru_maxrss (KiB on Linux) of RUSAGE_CHILDREN.  Linux
+    carries the peak of the spawning process into the child's ru_maxrss,
+    so this must run before this script's own work raises that peak."""
+    src = os.path.dirname(os.path.dirname(kglab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run([sys.executable, "-m", "kglab.cli",
+                        *sweep_argv(Q, tmp)], env=env, check=True)
+    return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+
+
 def oracle_mismatches() -> list[str]:
     bad = []
     for psi in ORACLE_PSIS:
@@ -153,6 +177,7 @@ def sweep_mismatches() -> list[str]:
 
 
 def bench(Q: int, repeats: int, json_path: str | None) -> int:
+    peak_rss = sweep_cli_peak_rss_mib(Q)  # first: see its docstring
     out = core_timings(Q, repeats)
     print(f"   core: {out['pairs']} pairs: {out['core_num_us']:6.2f} us/call")
     out["variance_full_s"], out["class_sums_s"] = layer_split(Q, repeats)
@@ -171,15 +196,17 @@ def bench(Q: int, repeats: int, json_path: str | None) -> int:
     print(f"  sweep: Q = {Q}: {out['sweep_rows_s']:8.3f} s with rows, "
           f"{out['sweep_no_rows_s']:.3f} s without")
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["lemma3-sweep", "--gamma", "sqrt:2", "--psi", "pow:1/4,1/2",
-                "--Q", str(Q), "--out", os.path.join(tmp, "sweep.csv")]
+        argv = sweep_argv(Q, tmp)
 
         def run_cli() -> None:
             if cli.main(argv) != 0:
                 raise SystemExit(f"kglab {' '.join(argv)} failed")
 
         out["sweep_cli_s"] = best_of(repeats, run_cli)
-    print(f"    cli: Q = {Q}: {out['sweep_cli_s']:8.3f} s for lemma3-sweep")
+    out["sweep_cli_peak_rss_mib"] = peak_rss
+    print(f"    cli: Q = {Q}: {out['sweep_cli_s']:8.3f} s for lemma3-sweep, "
+          f"peak RSS {out['sweep_cli_peak_rss_mib']:.1f} MiB in a fresh "
+          f"interpreter")
     if json_path:
         with open(json_path, "w") as fh:
             json.dump({"Q": Q, "repeats": repeats, **out,

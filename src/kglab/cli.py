@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import functools
 import hashlib
-import io
 import json
 import os
 import sys
@@ -22,9 +21,9 @@ from math import gcd
 
 from . import __version__
 from .cfrac import CFExpansion, cf_expand, cf_to_surd, convergents, make_liouville
-from .counting import (SCALE_GUARD_BITS, CountReport, CountTable,
-                       check_precision_range, count_by_thresholds, make_report)
-from .fixedpoint import DEFAULT_SCALE_BITS, PrecisionError
+from .counting import (CountReport, CountTable, check_precision_range,
+                       count_by_thresholds, make_report)
+from .fixedpoint import DEFAULT_SCALE_BITS, MIN_SCALE_BITS, PrecisionError
 from .lattice import LatticeVector, gcd_power_sum, gcd_power_sum_sweep, primorials
 from .psifunc import (ApproxFunction, Clamp, PowerLaw, TablePsi, Window,
                       hausdorff_exponent, hausdorff_partial_sum)
@@ -33,7 +32,7 @@ from .surd import QuadraticSurd
 from .torus import (TorusSet1D, is_parallel, overlap_2d,
                     overlap_2d_grid_oracle, overlap_exact_1d,
                     overlap_sweep_oracle, parallel_overlap_bound)
-from .variance import (SweepSummary, sweep_classes, variance_full,
+from .variance import (SweepRow, SweepSummary, sweep_classes, variance_full,
                        variance_window)
 from .witness import (ETA_MAX_DEFAULT, NonLiouvilleWitness, WitnessFitFailure,
                       fit_witness)
@@ -178,6 +177,10 @@ def apply_config(args: argparse.Namespace) -> None:
     if unknown:
         raise ConfigError(f"{args.config}: no {args.command} option named "
                           + ", ".join(unknown))
+    for key, value in file_cfg.items():
+        if key in CHOICES and value not in CHOICES[key]:
+            raise ConfigError(f"{args.config}: {key} must be one of "
+                              f"{', '.join(CHOICES[key])}, got {value!r}")
     for key, (default, _) in flags.items():
         if getattr(args, key) is None:
             setattr(args, key, file_cfg.get(key, default))
@@ -233,67 +236,58 @@ def fraction_text(n: int, d: int) -> str:
 
 
 class Output:
-    """Single collector writing CSV or JSONL with a metadata head line.
+    """The one collector of CSV or JSONL rows: the body is one list of
+    lines, and the metadata line goes in front of it when it is written.
 
-    Each row is one dict. CSV writes row[c] for each column through
-    ``csv_line``; JSONL writes the dict with sorted keys. Other values
-    (Fractions) become str() in both.  ``records`` appends CSV lines that
-    a command formatted itself (``lemma3-sweep``); they leave through
-    ``finish`` like every row.
+    ``row`` appends one dict as a line: for CSV row[c] for each column
+    through ``csv_line``, for JSONL the dict with sorted keys; other values
+    (Fractions) become str() in both.  A command may append lines it
+    formatted itself to ``lines`` (``lemma3-sweep``'s CSV rows).
+    ``finish(meta)`` writes the metadata line and the body through ``emit``.
     """
 
-    def __init__(self, path: str, fmt: str, meta: dict, columns=()) -> None:
-        self.fmt = fmt
-        self.buf = io.StringIO()
+    def __init__(self, path: str, fmt: str, columns=()) -> None:
         self.path = path
+        self.csv = fmt == "csv"
         self.columns = columns
-        if fmt == "csv":
-            self.buf.write("# " + json.dumps(meta, sort_keys=True,
-                                             default=str) + "\r\n")
-            if columns:
-                self.buf.write(csv_line(columns))
-        elif fmt == "jsonl":
-            self.buf.write(json.dumps({"meta": meta}, sort_keys=True,
-                                      default=str) + "\n")
-        else:
-            raise ConfigError(f"unknown format {fmt!r}")
+        self.lines = [csv_line(columns)] if self.csv and columns else []
 
     def row(self, row: dict) -> None:
-        if self.fmt == "csv":
-            self.buf.write(csv_line(map(row.__getitem__, self.columns)))
+        if self.csv:
+            self.lines.append(csv_line(map(row.__getitem__, self.columns)))
         else:
-            self.buf.write(json.dumps(row, sort_keys=True, default=str) + "\n")
+            self.lines.append(json.dumps(row, sort_keys=True, default=str)
+                              + "\n")
 
-    def records(self, lines: list[str]) -> None:
-        """Append CSV records already formatted, each CRLF-terminated."""
-        self.buf.writelines(lines)
+    def finish(self, meta: dict) -> None:
+        text = json.dumps(meta if self.csv else {"meta": meta},
+                          sort_keys=True, default=str)
+        head = f"# {text}\r\n" if self.csv else text + "\n"
+        emit(self.path, [head, *self.lines])
 
-    def finish(self) -> None:
-        emit(self.path, self.buf.getvalue())
 
-
-def emit(path: str, text: str) -> None:
+def emit(path: str, lines: list[str]) -> None:
     """The one place output leaves the program: stdout for '-', else path."""
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
-        write_atomic(path, text)
+        write_atomic(path, lines)
 
 
 def emit_document(args: argparse.Namespace, keys: list[str],
                   body: dict) -> None:
     """Write one JSON document: the metadata under "meta" beside body."""
     doc = {"meta": metadata(args, keys), **body}
-    emit(args.out, json.dumps(doc, sort_keys=True, default=str) + "\n")
+    emit(args.out, [json.dumps(doc, sort_keys=True, default=str) + "\n"])
 
 
-def write_atomic(path: str, data: str) -> None:
-    """Write data to a temp file beside path, then os.replace it onto path,
+def write_atomic(path: str, lines: list[str]) -> None:
+    """Write lines to a temp file beside path, then os.replace it onto path,
     so a crash mid-write leaves the old file (or none), never a torn one."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(data)
+            fh.writelines(lines)
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
@@ -327,23 +321,34 @@ def _config_hash(args: argparse.Namespace, keys: list[str]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _load_checkpoint(path: str, want_hash: str) -> dict[int, list[int]]:
+def _load_checkpoint(path: str, head: str, trials: int,
+                     width: int) -> dict[int, list[int]]:
+    """The finished trials of a checkpoint whose first line is head.  The
+    first record that is not an int trial in range(trials) with width int
+    counts ends the resume, as a torn tail does; a path that cannot be
+    opened is an OutputError (the checkpoint is rewritten there)."""
     done: dict[int, list[int]] = {}
-    if not os.path.exists(path):
+    try:
+        fh = open(path, "rb")  # json.loads fails a line with a bad byte
+    except FileNotFoundError:
         return done
-    with open(path) as fh:
-        head = fh.readline()
-        try:
-            if json.loads(head).get("config_hash") != want_hash:
-                return {}
-        except json.JSONDecodeError:
-            return {}
+    except OSError as exc:
+        raise OutputError(path, exc) from exc
+    with fh:
+        if fh.readline() != head.encode():
+            return done
         for line in fh:
             try:
                 rec = json.loads(line)
-                done[rec["trial"]] = rec["counts"]
-            except (json.JSONDecodeError, KeyError):
+            except ValueError:
                 break
+            if not (isinstance(rec, dict) and type(rec.get("trial")) is int
+                    and 0 <= rec["trial"] < trials
+                    and type(rec.get("counts")) is list
+                    and len(rec["counts"]) == width
+                    and all(type(c) is int for c in rec["counts"])):
+                break
+            done[rec["trial"]] = rec["counts"]
     return done
 
 
@@ -365,7 +370,9 @@ def cmd_count(args: argparse.Namespace) -> int:
     semantic = ["gamma", "psi", "Q", "trials", "seed", "delta_log", "scale_bits"]
     cfg_hash = _config_hash(args, semantic)
     ckpt_path = None if args.out == "-" else args.out + ".ckpt"
-    done = _load_checkpoint(ckpt_path, cfg_hash) if ckpt_path else {}
+    ckpt_head = json.dumps({"config_hash": cfg_hash}) + "\n"
+    done = (_load_checkpoint(ckpt_path, ckpt_head, trials, q_max + 1)
+            if ckpt_path else {})
     payloads = [(args.gamma, table.thresholds, q_max, scale_bits, seed, t)
                 for t in range(trials) if t not in done]
     results: dict[int, list[int]] = {}
@@ -384,7 +391,7 @@ def cmd_count(args: argparse.Namespace) -> int:
                 ckpt.flush()
 
         if ckpt:
-            ckpt.write(json.dumps({"config_hash": cfg_hash}) + "\n")
+            ckpt.write(ckpt_head)
         for t in sorted(done):
             record(t, done[t])
         run = map
@@ -397,7 +404,7 @@ def cmd_count(args: argparse.Namespace) -> int:
 
     meta = metadata(args, _COUNT_KEYS, config_hash=cfg_hash, base_seed=seed,
                     seed_derivation="splitmix64(seed ^ salt + (trial+1)*gamma)")
-    out = Output(args.out, args.format, meta, columns=CountReport.CSV_COLUMNS)
+    out = Output(args.out, args.format, columns=CountReport.CSV_COLUMNS)
     for trial in range(trials):
         counts = results[trial]
         for Q in qlist:
@@ -405,7 +412,7 @@ def cmd_count(args: argparse.Namespace) -> int:
                               delta_log, args.gamma, args.psi)
             out.row(rep.json_dict())
     try:
-        out.finish()
+        out.finish(meta)
     except OutputError:
         # main reports it; no checkpoint is left beside an --out that
         # cannot be written
@@ -432,9 +439,9 @@ def shift_scale_bits(args: argparse.Namespace) -> int:
     fixed-point value: fewer than the guard bits ``count`` keeps below its
     scale (down to 0, which rounds sqrt(2) to 1) is a precision error."""
     scale_bits = int(args.scale_bits)
-    if scale_bits < SCALE_GUARD_BITS:
+    if scale_bits < MIN_SCALE_BITS:
         raise PrecisionError(
-            f"scale_bits must be >= {SCALE_GUARD_BITS}, got {scale_bits}")
+            f"scale_bits must be >= {MIN_SCALE_BITS}, got {scale_bits}")
     return scale_bits
 
 
@@ -501,8 +508,7 @@ def cmd_variance(args: argparse.Namespace) -> int:
     gamma = parse_gamma(args.gamma)
     psi = parse_psi(args.psi)
     scale_bits = shift_scale_bits(args)
-    meta = metadata(args, _VARIANCE_KEYS)
-    out = Output(args.out, "jsonl", meta)
+    out = Output(args.out, "jsonl")
     if args.window:
         try:
             u_spec, v_spec = args.window.split(":")
@@ -515,7 +521,7 @@ def cmd_variance(args: argparse.Namespace) -> int:
         for Q in parse_qlist(args.Q):
             rep = variance_full(Q, psi, gamma, scale_bits)
             out.row(rep.json_dict())
-    out.finish()
+    out.finish(metadata(args, _VARIANCE_KEYS))
     return EXIT_OK
 
 
@@ -528,9 +534,7 @@ _GCDSUM_KEYS = ["q", "q_max", "k", "cap", "primorials", "format"]
 def cmd_gcdsum(args: argparse.Namespace) -> int:
     k = int(args.k)
     cap = None if args.cap in (None, "", "none") else Fraction(args.cap)
-    meta = metadata(args, _GCDSUM_KEYS)
-    out = Output(args.out, args.format, meta,
-                 columns=("q", "sum", "normalized"))
+    out = Output(args.out, args.format, columns=("q", "sum", "normalized"))
     if args.primorials:
         rows = [(q, *gcd_power_sum(q, k, cap))
                 for q in primorials(int(args.primorials))]
@@ -542,7 +546,7 @@ def cmd_gcdsum(args: argparse.Namespace) -> int:
         raise ConfigError("need one of --q, --q-max, --primorials")
     for q, total, norm in rows:
         out.row({"q": q, "sum": total, "normalized": norm})
-    out.finish()
+    out.finish(metadata(args, _GCDSUM_KEYS))
     return EXIT_OK
 
 
@@ -609,42 +613,34 @@ def cmd_vanishing_sweep(args: argparse.Namespace) -> int:
         print(f"witness fit failed: {w}", file=sys.stderr)
         return EXIT_FAIL
     summary = SweepSummary()
-    cols = ("d", "e", "r", "q", "threshold", "overlap", "bound", "status", "rel")
-    as_csv = args.format == "csv"
-    records: list = []  # CSV lines, or for JSONL one tuple of cells per row
+    cols = SweepRow._fields
+    out = Output(args.out, args.format, columns=cols)
     for (d, e, r, q, thr, bnum, bden, oden, same, s_same, opp,
          s_opp) in sweep_classes(Q, psi, w, gamma, scale_bits, summary):
         bound = None if bnum is None else fraction_text(bnum, bden)
-        if as_csv:
+        if out.csv:
             # every cell is an int, a reduced fraction or a fixed word, so
             # none needs quoting and the lines skip csv_line
             head = f"{d},{e},{r},{q},{thr},"
             tail = ",," if bound is None else f",{bound},"
-            records.append(f"{head}{fraction_text(same, oden)}{tail}"
-                           f"{s_same},same\r\n")
-            records.append(f"{head}{fraction_text(opp, oden)}{tail}"
-                           f"{s_opp},opp\r\n")
+            out.lines.append(f"{head}{fraction_text(same, oden)}{tail}"
+                             f"{s_same},same\r\n")
+            out.lines.append(f"{head}{fraction_text(opp, oden)}{tail}"
+                             f"{s_opp},opp\r\n")
         else:
-            records.append((d, e, r, q, thr, fraction_text(same, oden),
-                            bound, s_same, "same"))
-            records.append((d, e, r, q, thr, fraction_text(opp, oden),
-                            bound, s_opp, "opp"))
-    meta = metadata(args, _SWEEP_KEYS,
-                    witness={"eta": w.eta, "c": str(w.c), "C": str(w.C),
-                             "epsilon": str(w.epsilon), "M": w.M,
-                             "K": str(w.K)},
-                    summary={"rows": summary.n_rows,
-                             "zero_confirmed": summary.n_zero_confirmed,
-                             "bound_satisfied": summary.n_bound_satisfied,
-                             "violations": summary.n_violations,
-                             "max_bound_ratio": float(summary.max_bound_ratio)})
-    out = Output(args.out, args.format, meta, columns=cols)
-    if as_csv:
-        out.records(records)
-    else:
-        for cells in records:
-            out.row(dict(zip(cols, cells)))
-    out.finish()
+            out.row(dict(zip(cols, (d, e, r, q, thr, fraction_text(same, oden),
+                                    bound, s_same, "same"))))
+            out.row(dict(zip(cols, (d, e, r, q, thr, fraction_text(opp, oden),
+                                    bound, s_opp, "opp"))))
+    out.finish(metadata(
+        args, _SWEEP_KEYS,
+        witness={"eta": w.eta, "c": str(w.c), "C": str(w.C),
+                 "epsilon": str(w.epsilon), "M": w.M, "K": str(w.K)},
+        summary={"rows": summary.n_rows,
+                 "zero_confirmed": summary.n_zero_confirmed,
+                 "bound_satisfied": summary.n_bound_satisfied,
+                 "violations": summary.n_violations,
+                 "max_bound_ratio": float(summary.max_bound_ratio)}))
     return EXIT_OK if summary.ok() else EXIT_FAIL
 
 
@@ -658,6 +654,7 @@ _COMMON = {"config": (None, "key=value config file"),
            "out": ("-", "output path or - for stdout")}
 _ROWS = {**_COMMON, "format": ("csv", None)}  # commands writing CSV or JSONL
 _SCALE = {"scale_bits": (str(DEFAULT_SCALE_BITS), None)}  # commands that round
+CHOICES = {"format": ("csv", "jsonl")}  # flags with a fixed set of values
 
 COMMANDS = {
     "count": (cmd_count, "counting-function experiments", {
@@ -699,9 +696,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_, flags) in COMMANDS.items():
         sp = sub.add_parser(name, help=help_)
         for key, (_, flag_help) in flags.items():
-            choices = ("csv", "jsonl") if key == "format" else None
             sp.add_argument("--" + key.replace("_", "-"), dest=key,
-                            default=None, choices=choices, help=flag_help)
+                            default=None, choices=CHOICES.get(key),
+                            help=flag_help)
     return p
 
 

@@ -23,13 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._kernels import count_by_shell_raw
-from .fixedpoint import DEFAULT_SCALE_BITS, FixedPoint, PrecisionError
+from .fixedpoint import (DEFAULT_SCALE_BITS, MIN_SCALE_BITS, FixedPoint,
+                         PrecisionError)
 from .lattice import divisor_sums, divisors, shell_size
 from .psifunc import ApproxFunction, eval_psi, psi_mantissas
 from .surd import QuadraticSurd, surd_eval
-
-# the fewest scale_bits any rounding may use; count adds the bits of 2Q+1
-SCALE_GUARD_BITS = 64
 
 
 def _gamma_mantissa(gamma, scale_bits: int) -> int:
@@ -48,8 +46,8 @@ def _gamma_mantissa(gamma, scale_bits: int) -> int:
 
 def check_precision_range(Q: int, scale_bits: int) -> None:
     """Sweep values accumulate |q1|+|q2|+1 <= 2Q+1 mantissa terms; require
-    SCALE_GUARD_BITS guard bits below the scale."""
-    needed = SCALE_GUARD_BITS + (2 * Q + 1).bit_length()
+    MIN_SCALE_BITS guard bits below the scale."""
+    needed = MIN_SCALE_BITS + (2 * Q + 1).bit_length()
     if scale_bits < needed:
         raise PrecisionError(
             f"Q={Q} needs scale_bits >= {needed}, got {scale_bits}"

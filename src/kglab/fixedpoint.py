@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+# the fewest scale_bits any rounding may use; count adds the bits of 2Q+1
 MIN_SCALE_BITS = 64
 DEFAULT_SCALE_BITS = 192
 

@@ -135,6 +135,20 @@ class TestCount:
         cfg.write_text("window = 1,1:1,1\n")
         assert run(tmp_path, "count", "--config", str(cfg))[0] == EXIT_CONFIG
 
+    def test_config_bad_format_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a value outside the flag's choices is rejected before any trial
+        # runs, so no output or checkpoint is left
+        trials = []
+        monkeypatch.setattr(cli, "_count_trial", trials.append)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("Q = 5\ntrials = 2\nformat = xml\n")
+        capsys.readouterr()
+        code, body = run(tmp_path, "count", "--config", str(cfg),
+                         "--workers", "1")
+        assert (code, body, trials) == (EXIT_CONFIG, b"", [])
+        assert "format" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.cfg"]
+
     def test_checkpoint_resume(self, tmp_path):
         out = tmp_path / "c.csv"
         args = ["count", "--Q", "20", "--trials", "2", "--seed", "1",
@@ -154,7 +168,10 @@ class TestCount:
         assert out.read_bytes() == full
         assert not ckpt.exists()  # cleaned up after a completed run
 
-    @pytest.mark.parametrize("damage", ["truncated-tail", "foreign-hash"])
+    @pytest.mark.parametrize("damage", [
+        "truncated-tail", "foreign-hash", "non-object-head", "list-record",
+        "trial-out-of-range", "string-trial", "short-counts", "float-counts",
+        "bad-byte"])
     def test_damaged_checkpoint(self, tmp_path, damage):
         out = tmp_path / "c.csv"
         args = ["count", "--Q", "20", "--trials", "3", "--seed", "2",
@@ -170,13 +187,33 @@ class TestCount:
             lines = [{"config_hash": meta["config_hash"]},
                      {"trial": 0, "counts": trial0}]
             tail = json.dumps({"trial": 1, "counts": trial0})[:15]
-        else:
+        elif damage == "foreign-hash":
             # another config's checkpoint: its counts must not be used
             lines = [{"config_hash": "0" * 16}] + [
                 {"trial": t, "counts": [999] * len(trial0)} for t in range(3)]
             tail = ""
+        elif damage == "non-object-head":
+            lines, tail = [5, {"trial": 0, "counts": trial0}], ""
+        else:
+            # a record that is not a finished trial of this run ends the
+            # resume; a good record behind it is not used
+            bad = {"list-record": [1, 2],
+                   "trial-out-of-range": {"trial": 3, "counts": trial0},
+                   "string-trial": {"trial": "1", "counts": trial0},
+                   "short-counts": {"trial": 1, "counts": trial0[:-1]},
+                   "float-counts": {"trial": 1,
+                                    "counts": [float(c) for c in trial0]},
+                   "bad-byte": None}[damage]
+            lines = [{"config_hash": meta["config_hash"]},
+                     {"trial": 0, "counts": trial0},
+                     *([] if bad is None else [bad]),
+                     {"trial": 2, "counts": [999] * len(trial0)}]
+            tail = ""
         ckpt = tmp_path / "c.csv.ckpt"
-        ckpt.write_text("".join(json.dumps(x) + "\n" for x in lines) + tail)
+        data = ("".join(json.dumps(x) + "\n" for x in lines) + tail).encode()
+        if damage == "bad-byte":
+            data = data.replace(b'"trial": 2', b'"trial": \xff2')
+        ckpt.write_bytes(data)
         assert main(args) == EXIT_OK
         assert out.read_bytes() == full
         assert not ckpt.exists()
@@ -324,7 +361,9 @@ class TestOtherCommands:
 # variance-*, gcdsum-*, cf-* and hausdorff* were re-recorded when variance
 # lost --format and gcdsum/cf/hausdorff lost --scale-bits: only the metadata
 # line changed ("format" left the variance config echo, "scale_bits" became
-# null), the bodies are the same bytes.
+# null), the bodies are the same bytes.  The four *-stdout entries of
+# lemma3-sweep, variance and gcdsum were recorded before Output held each
+# body as one list of lines.
 GOLDEN = {
     "count-csv": (
         "count --Q 10,30 --trials 3 --seed 7 --workers 2",
@@ -397,6 +436,19 @@ GOLDEN = {
     "sweep-zero-csv": (
         "lemma3-sweep --gamma sqrt:2 --psi pow:1/1000,1 --Q 30",
         "ac94a33b0fe3c12acef23e1522211f3fe724530e4cc1bfa712114d7655bbaeee"),
+    "sweep-csv-stdout": (
+        "lemma3-sweep --gamma sqrt:2 --psi pow:1/4,1/2 --Q 20 --out -",
+        "9f910c309ffa6c1323c70077923f1b447a014e1e197b9f001b0eafe25f443cbf"),
+    "sweep-jsonl-stdout": (
+        "lemma3-sweep --gamma sqrt:5 --psi pow:1/16,1/2 --Q 20 --format "
+        "jsonl --out -",
+        "dca80478a186737ce9e326c2dd4cd55e732492467acd9f68e8d2670bddd4fcda"),
+    "variance-stdout": (
+        "variance --psi pow:1/4,1/2 --Q 5,10 --out -",
+        "384e34e6a850610e7451cbda618bd4514e0935900852998d1ed71be5499237c5"),
+    "gcdsum-stdout": (
+        "gcdsum --q-max 20 --k 2 --out -",
+        "737bbe0bf536885bc7ac444ec8ccf3c610a4ffa8ac2cd6bd01e5a84350b3752f"),
 }
 
 
@@ -495,10 +547,10 @@ class TestOutput:
     def test_failed_write_keeps_existing_file(self, tmp_path):
         path = tmp_path / "out.csv"
         path.write_bytes(b"previous run\r\n")
-        out = Output(str(path), "csv", {"tool": "kglab"}, columns=("a",))
+        out = Output(str(path), "csv", columns=("a",))
         out.row({"a": "\ud800"})  # a lone surrogate cannot be encoded
         with pytest.raises(UnicodeEncodeError):
-            out.finish()
+            out.finish({"tool": "kglab"})
         assert path.read_bytes() == b"previous run\r\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -526,7 +578,7 @@ def csv_table(n):
 @example(([",", "\n"], [[None, ""], [Fraction(-3, 7), "\ud800"]]))
 def test_csv_lines_match_csv_module(table):
     columns, rows = table
-    out = Output("-", "csv", {}, columns=columns)
+    out = Output("-", "csv", columns=columns)
     want = io.StringIO()
     oracle = csv.writer(want, lineterminator="\r\n")
     oracle.writerow(columns)
@@ -534,7 +586,7 @@ def test_csv_lines_match_csv_module(table):
         row = dict(zip(columns, values))
         out.row(row)
         oracle.writerow([row[c] for c in columns])
-    assert out.buf.getvalue() == "# {}\r\n" + want.getvalue()
+    assert "".join(out.lines) == want.getvalue()
 
 
 @pytest.mark.parametrize("argv", ["lemma3-sweep --Q 10",
@@ -553,6 +605,20 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
     assert err.count("\n") == 1 and "Traceback" not in err
     left = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*"))
     assert left == (["outdir"] if target == "directory" else [])
+
+
+def test_unreadable_checkpoint_exits_2(tmp_path, capsys):
+    # a directory where count keeps its checkpoint: no trial runs and the
+    # output is not written
+    out = tmp_path / "x.csv"
+    (tmp_path / "x.csv.ckpt").mkdir()
+    capsys.readouterr()
+    code = main(["count", "--Q", "10", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith(f"output error: cannot write {out}.ckpt")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv.ckpt"]
 
 
 # Differential test of lemma3-sweep's row writer, which formats every cell
