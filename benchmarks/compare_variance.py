@@ -41,7 +41,6 @@ from kglab.psifunc import PowerLaw, TablePsi, eval_psi
 from kglab.surd import QuadraticSurd
 from kglab.torus import (TorusSet1D, as_shift, lemma3_bound, overlap_1d_num,
                          overlap_sweep_oracle)
-import kglab
 from kglab import cli, variance
 from kglab.variance import (_PairEngine, vanishing_bound_sweep,
                             variance_bruteforce, variance_full,
@@ -124,12 +123,9 @@ def sweep_cli_peak_rss_mib(Q: int) -> float:
     interpreter: ru_maxrss (KiB on Linux) of RUSAGE_CHILDREN.  Linux
     carries the peak of the spawning process into the child's ru_maxrss,
     so this must run before this script's own work raises that peak."""
-    src = os.path.dirname(os.path.dirname(kglab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run([sys.executable, "-m", "kglab.cli",
-                        *sweep_argv(Q, tmp)], env=env, check=True)
+                        *sweep_argv(Q, tmp)], check=True)
     return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
 
 
@@ -205,8 +201,7 @@ def bench(Q: int, repeats: int, json_path: str | None) -> int:
         out["sweep_cli_s"] = best_of(repeats, run_cli)
     out["sweep_cli_peak_rss_mib"] = peak_rss
     print(f"    cli: Q = {Q}: {out['sweep_cli_s']:8.3f} s for lemma3-sweep, "
-          f"peak RSS {out['sweep_cli_peak_rss_mib']:.1f} MiB in a fresh "
-          f"interpreter")
+          f"peak RSS {peak_rss:.1f} MiB in a fresh interpreter")
     if json_path:
         with open(json_path, "w") as fh:
             json.dump({"Q": Q, "repeats": repeats, **out,
