@@ -3,7 +3,8 @@
 
 Layers, at --Q (default 200) with psi = 1/4 q^-1/2 and gamma = sqrt(2):
   core      the integer ramp sums ``overlap_1d_num`` per call, on the
-            arguments of every pair that ``variance_full(Q)`` evaluates;
+            arguments of every pair class that ``variance_full(Q)``
+            evaluates; one call gives a class at both relative signs;
   classes   ``_class_sums`` over every direction class (core included);
   report    the rest of ``variance_full(Q)``: the psi table, the measure
             sum, diagonal and maximum and the report Fractions;
@@ -76,15 +77,23 @@ def best_of(repeats: int, fn) -> float:
 
 
 def core_timings(Q: int, repeats: int) -> dict:
-    """Per-call time of the integer core over the pairs of variance_full(Q)."""
+    """Per-call time of the integer core over the pair classes of
+    variance_full(Q), both relative signs per call."""
     eng = _PairEngine(PSI, GAMMA, SCALE, Q)
     td, sn, sd = eng.td, eng.sn, eng.sd
-    args = [(d, eng.psi_num[d * np_], td, sn, e, eng.psi_num[e * np_], td,
-             bn, sd)
+    args = [(d, eng.psi_num[d * np_], e, eng.psi_num[e * np_], td, sn, sn,
+             sd)
             for np_ in range(1, Q + 1) for d in range(1, Q // np_ + 1)
-            for e in range(1, d + 1) for bn in (sn, eng.neg_sn)]
-    t_num = best_of(repeats, lambda: [overlap_1d_num(*a) for a in args])
-    return {"pairs": len(args), "core_num_us": 1e6 * t_num / len(args)}
+            for e in range(1, d + 1)]
+
+    def run_core() -> None:
+        # each result is dropped, as the class sums drop it: a list of
+        # result tuples would be rescanned by the cyclic garbage collector
+        for a in args:
+            overlap_1d_num(*a)
+
+    t_num = best_of(repeats, run_core)
+    return {"pairs": len(args), "core_pair_us": 1e6 * t_num / len(args)}
 
 
 def layer_split(Q: int, repeats: int) -> tuple[float, float]:
@@ -175,7 +184,8 @@ def sweep_mismatches() -> list[str]:
 def bench(Q: int, repeats: int, json_path: str | None) -> int:
     peak_rss = sweep_cli_peak_rss_mib(Q)  # first: see its docstring
     out = core_timings(Q, repeats)
-    print(f"   core: {out['pairs']} pairs: {out['core_num_us']:6.2f} us/call")
+    print(f"   core: {out['pairs']} pair classes: "
+          f"{out['core_pair_us']:6.2f} us/call")
     out["variance_full_s"], out["class_sums_s"] = layer_split(Q, repeats)
     out["report_s"] = out["variance_full_s"] - out["class_sums_s"]
     out["window_s"] = best_of(repeats, lambda: variance_window(*WINDOW, PSI,

@@ -267,9 +267,18 @@ class Output:
 
 
 def emit(path: str, lines: list[str]) -> None:
-    """The one place output leaves the program: stdout for '-', else path."""
+    """The one place output leaves the program: stdout for '-', else path.
+
+    A reader that closes stdout early (``| head``) is an OutputError.
+    stdout is then pointed at the null device, so the interpreter's last
+    flush of what is still buffered does not fail a second time."""
     if path == "-":
-        sys.stdout.writelines(lines)
+        try:
+            sys.stdout.writelines(lines)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise OutputError("stdout", exc) from exc
     else:
         write_atomic(path, lines)
 
@@ -283,12 +292,25 @@ def emit_document(args: argparse.Namespace, keys: list[str],
 
 def write_atomic(path: str, lines: list[str]) -> None:
     """Write lines to a temp file beside path, then os.replace it onto path,
-    so a crash mid-write leaves the old file (or none), never a torn one."""
-    tmp = f"{path}.{os.getpid()}.tmp"
+    so a crash mid-write leaves the old file (or none), never a torn one.
+
+    A symlink is resolved first, so the file it names is replaced and the
+    link stays a link.  Something that exists but is not a regular file (a
+    FIFO, a device) cannot be replaced without destroying it, so the lines
+    are written to it directly."""
+    real = os.path.realpath(path)
+    if os.path.exists(real) and not os.path.isfile(real):
+        try:
+            with open(real, "w", newline="") as fh:
+                fh.writelines(lines)
+        except OSError as exc:
+            raise OutputError(path, exc) from exc
+        return
+    tmp = f"{real}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
             fh.writelines(lines)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)

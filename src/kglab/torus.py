@@ -11,13 +11,16 @@ arithmetic progression with step 1/lcm(d, e), each gap standing for
 gcd(d, e) arc pairs, and one arc pair overlaps in a trapezoid of four
 ramps.  ``overlap_exact_1d`` sums each ramp over the progression as one
 arithmetic series; the independent check ``overlap_sweep_oracle`` computes
-the same measure by an endpoint sweep instead.  The series are integer
-sums (``overlap_1d_num``) over a denominator the caller knows, so a caller
-that adds or compares many overlaps, as the variance sums and the Lemma 3
-sweep do, need not build a Fraction for each; ``overlap_exact_1d`` is the
-one Fraction form.  ``overlap_2d_grid_oracle`` estimates a 2-D overlap
-from the cell centers of an R x R grid, counted exactly with one int
-bitmask per grid row and set.
+the same measure by an endpoint sweep instead.  There is one kernel,
+``overlap_1d_num``: integer sums over a denominator the caller knows, so a
+caller that adds or compares many overlaps, as the variance sums and the
+Lemma 3 sweep do, need not build a Fraction for each.  One call gives both
+relative signs of the second set's shift, +sigma and -sigma, which every
+parallel pair class needs: the two share the step and the arc radii and
+differ only in where the progression of gaps starts.  ``overlap_exact_1d``
+is the one Fraction form.  ``overlap_2d_grid_oracle`` estimates a 2-D
+overlap from the cell centers of an R x R grid, counted exactly with one
+int bitmask per grid row and set.
 
 Irrational shifts enter through their fixed-point representatives, so all
 arithmetic below is exact rational arithmetic.
@@ -76,55 +79,71 @@ class TorusSet1D:
         return 2 * self.t
 
 
-def _ramp_sum(y: int, S: int, k_hi: int) -> int:
-    """Sum of r(y + k*S) over k <= k_hi: the arithmetic series of the
-    nonnegative terms, k from ceil(-y/S) up.  The term count n is
-    nonnegative when y + (k_hi + 1)*S >= 0, which holds for each ramp
-    below."""
-    k_lo = -(y // S)
-    n = k_hi - k_lo + 1
-    return n * y + S * (n * (k_lo + k_hi) // 2)
+def overlap_1d_num(d: int, t1n: int, e: int, t2n: int, td: int,
+                   an: int, bn: int, sd: int) -> tuple[int, int]:
+    """(plus, minus): the overlap of A(d, t1n/td) shifted by an/sd with
+    A(e, t2n/td) shifted by bn/sd, and the same with B's shift at -bn/sd,
+    each over lcm(d, e)*sd*td**2.  No fraction need be in lowest terms, so
+    a caller that holds every radius over one denominator can sum these
+    numerators without normalizing any of them.
 
-
-def overlap_1d_num(d: int, t1n: int, t1d: int, an: int,
-                   e: int, t2n: int, t2d: int, bn: int, sd: int) -> int:
-    """The overlap of A(d, t1n/t1d) shifted by an/sd with A(e, t2n/t2d)
-    shifted by bn/sd is this value over lcm(d, e)*sd*t1d*t2d.  No fraction
-    need be in lowest terms, so a caller that holds every radius over one
-    denominator can sum these numerators without normalizing any of them.
-
-    Over CD = d*e*sd*t1d*t2d the gaps between arc centres, lifted to the
-    line, are Y0 + k*S for every k in Z, each standing for g = gcd(d, e)
-    arc pairs, with S = CD/lcm(d, e) and Y0 = (e*an - d*bn)*t1d*t2d.  Two
-    arcs of radii R1, R2 (over CD) at gap y overlap in the trapezoid
-    w(y) = r(y+A) - r(y+B) - r(y-B) + r(y-A), with A = R1+R2, B = |R1-R2|
-    and r = max(0, .).  Summed over the k with Y0 + k*S <= A, where the
-    last ramp vanishes, each remaining ramp is one arithmetic series; their
-    sum is the overlap over CD/g.  The sum is exact for every t in
-    [0, 1/2]: t = 0 gives w = 0, and the arcs of A(d, 1/2) tile the circle.
+    Over CD = d*e*sd*td the gaps between arc centres, lifted to the line,
+    are Y + k*S for every k in Z, each standing for g = gcd(d, e) arc
+    pairs, with S = g*sd*td and Y = (e*an -+ d*bn)*td; both signs share
+    the step and the radii R1 = t1n*e*sd and R2 = t2n*d*sd (t1/d and t2/e
+    over CD).  Two arcs at gap y overlap in the trapezoid
+    w(y) = r(y+A) - r(y+B) - r(y-B) + r(y-A), with A = R1+R2, B = R1-R2 and
+    r = max(0, .).  Summed over the k <= k_hi = (A - Y) // S, where the last
+    ramp vanishes, each remaining ramp r(y + k*S) is one arithmetic series:
+    with y = q*S + rem (0 <= rem < S) its n = k_hi + 1 + q nonnegative
+    terms are rem, rem + S, ..., so it sums to n*rem + S*n*(n-1)/2.  The
+    three series give the overlap over CD/g, times td over the stated
+    denominator.  The sum is exact for every t in [0, 1/2]: t = 0 gives
+    w = 0, and the arcs of A(d, 1/2) tile the circle.
     """
-    tdd = t1d * t2d
-    S = gcd(d, e) * sd * tdd
-    Y0 = (e * an - d * bn) * tdd
-    R1 = t1n * e * sd * t2d   # (t1/d) * CD
-    R2 = t2n * d * sd * t1d   # (t2/e) * CD
-    k_hi = (R1 + R2 - Y0) // S
-    return (_ramp_sum(Y0 + R1 + R2, S, k_hi) - _ramp_sum(Y0 + R1 - R2, S, k_hi)
-            - _ramp_sum(Y0 + R2 - R1, S, k_hi))
+    S = gcd(d, e) * sd * td
+    R1 = t1n * e * sd
+    R2 = t2n * d * sd
+    A, B = R1 + R2, R1 - R2
+    ea, db = e * an * td, d * bn * td
+    Y = ea - db
+    m = (A - Y) // S + 1
+    q, r1 = divmod(Y + A, S)
+    n1 = m + q
+    q, r2 = divmod(Y + B, S)
+    n2 = m + q
+    q, r3 = divmod(Y - B, S)
+    n3 = m + q
+    plus = (n1 * r1 - n2 * r2 - n3 * r3
+            + S * ((n1 * (n1 - 1) - n2 * (n2 - 1) - n3 * (n3 - 1)) // 2))
+    Y = ea + db
+    m = (A - Y) // S + 1
+    q, r1 = divmod(Y + A, S)
+    n1 = m + q
+    q, r2 = divmod(Y + B, S)
+    n2 = m + q
+    q, r3 = divmod(Y - B, S)
+    n3 = m + q
+    minus = (n1 * r1 - n2 * r2 - n3 * r3
+             + S * ((n1 * (n1 - 1) - n2 * (n2 - 1) - n3 * (n3 - 1)) // 2))
+    return td * plus, td * minus
 
 
 def overlap_exact_1d(A: TorusSet1D, B: TorusSet1D) -> Fraction:
     """lambda_1(A intersect B): the trapezoid overlap of each arc pair,
     summed over the arithmetic progression of arc-centre gaps as a few
-    ramp series in closed form (``overlap_1d_num`` over the shifts' common
-    denominator, as one Fraction)."""
+    ramp series in closed form (the ``plus`` of ``overlap_1d_num``, with
+    the radii over their common denominator and the shifts over theirs,
+    as one Fraction)."""
     an, ad = A.shift.numerator, A.shift.denominator
     bn, bd = B.shift.numerator, B.shift.denominator
     sd = lcm(ad, bd)
     t1d, t2d = A.t.denominator, B.t.denominator
-    total = overlap_1d_num(A.d, A.t.numerator, t1d, an * (sd // ad),
-                           B.d, B.t.numerator, t2d, bn * (sd // bd), sd)
-    return Fraction(total, lcm(A.d, B.d) * sd * t1d * t2d)
+    td = lcm(t1d, t2d)
+    plus, _ = overlap_1d_num(A.d, A.t.numerator * (td // t1d),
+                             B.d, B.t.numerator * (td // t2d), td,
+                             an * (sd // ad), bn * (sd // bd), sd)
+    return Fraction(plus, lcm(A.d, B.d) * sd * td * td)
 
 
 def overlap_sweep_oracle(A: TorusSet1D, B: TorusSet1D) -> Fraction:

@@ -14,15 +14,16 @@ Overlaps have one representation, integers over one denominator.  With
 the shift sn/sd, every psi(n) an integer over td (the lcm of the psi
 denominators) and L = lcm(1..Q), each pair overlap and each product of
 measures is an integer over L*sd*td**2 (the measure fields are over td).
-A variance report sums these integers and builds each field as one
-Fraction at the end.  The sweep takes each overlap unscaled, as an integer
-over lcm(d, e)*sd*td**2, and compares it with its Lemma 3 bound (an
-integer over d*td**2) by cross-multiplication.  Its one decision loop,
-``sweep_classes``, yields these numerators and denominators per class and
-builds one Fraction, the largest overlap/bound ratio.  Two consumers
-format them: ``vanishing_bound_sweep`` as Fraction-valued rows, and
-``kglab lemma3-sweep`` as output cells, each reduced by one gcd with no
-Fraction.
+Every class needs its pair at both relative signs, and one
+``overlap_1d_num`` call gives both.  A variance report sums these integers
+and builds each field as one Fraction at the end.  The sweep takes each
+overlap unscaled, as an integer over lcm(d, e)*sd*td**2, and compares it
+with its Lemma 3 bound (an integer over d*td**2) by cross-multiplication.
+Its one decision loop, ``sweep_classes``, yields these numerators and
+denominators per class and builds one Fraction, the largest overlap/bound
+ratio.  Two consumers format them: ``vanishing_bound_sweep`` as
+Fraction-valued rows, and ``kglab lemma3-sweep`` as output cells, each
+reduced by one gcd with no Fraction.
 """
 
 from __future__ import annotations
@@ -95,11 +96,12 @@ class _PairEngine:
     The shift is sn/sd, hoisted once.  psi(n) for n <= q_max is the
     integer ``psi_num[n]`` over one common denominator ``td``, the lcm of
     the psi denominators: a power of two for the power laws, about
-    lcm(1..q_max) for 1/q.  The integer overlap of multipliers d, e is
-    over lcm(d, e)*sd*td**2; ``pair_raw`` returns it so, for the sweep.
-    ``overlap_num`` and ``pair_num`` scale it by L // lcm(d, e) to
-    ``den`` = L*sd*td**2 with L = lcm(1..q_max), the one denominator of a
-    variance report's sums.  A product of measures
+    lcm(1..q_max) for 1/q.  One ``overlap_1d_num`` call gives the integer
+    overlap of multipliers d, e at both relative signs, each over
+    lcm(d, e)*sd*td**2; ``pair_raw`` returns the two so, for the sweep.
+    ``overlap_num`` (one sign) and ``pair_num`` (their sum) scale by
+    L // lcm(d, e) to ``den`` = L*sd*td**2 with L = lcm(1..q_max), the one
+    denominator of a variance report's sums.  A product of measures
     2*psi(m) * 2*psi(n) is 4*psi_num[m]*psi_num[n]*``unit`` over ``den``,
     with ``unit`` = L*sd.
     """
@@ -108,7 +110,6 @@ class _PairEngine:
                  q_max: int) -> None:
         shift = as_shift(gamma, scale_bits)
         self.sn, self.sd = shift.numerator, shift.denominator
-        self.neg_sn = -self.sn
         vals = [Fraction(0)] + [eval_psi(psi, n) for n in range(1, q_max + 1)]
         self.td = lcm(*(v.denominator for v in vals))
         self.psi_num = [v.numerator * (self.td // v.denominator) for v in vals]
@@ -123,32 +124,29 @@ class _PairEngine:
         direction P of norm np_ (the value does not depend on P, only on
         the norms and on whether the signs s1, s2 agree)."""
         self.evals += 1
-        total = overlap_1d_num(d, self.psi_num[d * np_], self.td, self.sn,
-                               e, self.psi_num[e * np_], self.td,
-                               self.sn if same_sign else self.neg_sn, self.sd)
-        return total * (self.L // lcm(d, e))
+        sn = self.sn
+        plus, minus = overlap_1d_num(d, self.psi_num[d * np_], e,
+                                     self.psi_num[e * np_], self.td, sn, sn,
+                                     self.sd)
+        return (plus if same_sign else minus) * (self.L // lcm(d, e))
 
     def pair_raw(self, np_: int, d: int, e: int) -> tuple[int, int]:
         """Same-sign and opposite-sign overlap of multipliers d, e along a
-        direction of norm np_, each unscaled: over lcm(d, e)*sd*td**2.
-        ``pair_num`` repeats these two calls inline, since the variance
-        sums call it for every pair and a nested call there costs about
-        5% of ``variance_full``."""
+        direction of norm np_, each unscaled: over lcm(d, e)*sd*td**2."""
         self.evals += 2
-        t1, t2 = self.psi_num[d * np_], self.psi_num[e * np_]
-        td, sn, sd = self.td, self.sn, self.sd
-        return (overlap_1d_num(d, t1, td, sn, e, t2, td, sn, sd),
-                overlap_1d_num(d, t1, td, sn, e, t2, td, self.neg_sn, sd))
+        sn = self.sn
+        return overlap_1d_num(d, self.psi_num[d * np_], e,
+                              self.psi_num[e * np_], self.td, sn, sn, self.sd)
 
     def pair_num(self, np_: int, d: int, e: int) -> int:
         """Same-sign plus opposite-sign overlap of multipliers d, e along
         a direction of norm np_, times ``den``."""
         self.evals += 2
-        t1, t2 = self.psi_num[d * np_], self.psi_num[e * np_]
-        td, sn, sd = self.td, self.sn, self.sd
-        total = (overlap_1d_num(d, t1, td, sn, e, t2, td, sn, sd)
-                 + overlap_1d_num(d, t1, td, sn, e, t2, td, self.neg_sn, sd))
-        return total * (self.L // lcm(d, e))
+        sn = self.sn
+        plus, minus = overlap_1d_num(d, self.psi_num[d * np_], e,
+                                     self.psi_num[e * np_], self.td, sn, sn,
+                                     self.sd)
+        return (plus + minus) * (self.L // lcm(d, e))
 
 
 def _class_sums(engine: _PairEngine, np_: int, d_lo: int, d_hi: int) -> int:

@@ -4,8 +4,10 @@ import hashlib
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,6 +34,13 @@ def run(tmp_path, *argv):
     code = main(list(argv) + ["--out", str(out)])
     data = out.read_bytes() if out.exists() else b""
     return code, data
+
+
+def src_env():
+    """The environment of a fresh interpreter that imports kglab from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
 class TestSpecParsing:
@@ -334,10 +343,7 @@ class TestOtherCommands:
             "rc = kglab.cli.main(['hausdorff', '--exponent', '2',\n"
             "                     '--probe-limit', '1000', '--out', '-'])\n"
             "print(rc, 'numpy' in sys.modules)\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
@@ -619,6 +625,52 @@ def test_unreadable_checkpoint_exits_2(tmp_path, capsys):
     assert err.startswith(f"output error: cannot write {out}.ckpt")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv.ckpt"]
+
+
+def test_out_symlink_stays_a_link(tmp_path):
+    # the file the link names is replaced, and nothing else is left
+    _, want = run(tmp_path, "variance", "--Q", "3")
+    (tmp_path / "out.dat").unlink()
+    target = tmp_path / "target.jsonl"
+    target.write_bytes(b"previous run\n")
+    link = tmp_path / "link.jsonl"
+    link.symlink_to(target.name)
+    assert main(["variance", "--Q", "3", "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == [link.name,
+                                                          target.name]
+
+
+def test_out_fifo_is_written_not_replaced(tmp_path):
+    # a FIFO cannot be renamed over without losing its reader: the body
+    # goes through it, and it is still a FIFO afterwards
+    _, want = run(tmp_path, "variance", "--Q", "3")
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    code = main(["variance", "--Q", "3", "--out", str(fifo)])
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert code == EXIT_OK
+    assert got == [want]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+
+
+def test_closed_stdout_exits_2():
+    # the reader closes the pipe after a few bytes; the body (over 64 KiB,
+    # more than the pipe holds) cannot all be written
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kglab.cli", "lemma3-sweep", "--Q", "60"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
+    assert proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == EXIT_CONFIG
+    assert err == "output error: cannot write stdout: Broken pipe\n"
 
 
 # Differential test of lemma3-sweep's row writer, which formats every cell
