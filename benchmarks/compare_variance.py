@@ -12,6 +12,11 @@ Layers, at --Q (default 200) with psi = 1/4 q^-1/2 and gamma = sqrt(2):
             shells cut;
   sweep     ``vanishing_bound_sweep(Q)`` with its rows and without
             (``collect_rows=False``), witness fitted as the CLI fits it;
+  sweep_cells
+            every cell (bound, same, opp) of that sweep's ``sweep_classes``
+            tuples through ``cli.fraction_text``, as ``kglab lemma3-sweep``
+            formats them (the report assembly of the sweep); the tuples are
+            collected first, so the decision loop is not timed;
   sweep_cli the whole in-process ``kglab lemma3-sweep --Q Q`` run with
             the same psi and gamma, CSV written to a temporary file: the
             sweep with rows plus the witness fit and the row writing; and
@@ -43,9 +48,9 @@ from kglab.surd import QuadraticSurd
 from kglab.torus import (TorusSet1D, as_shift, lemma3_bound, overlap_1d_num,
                          overlap_sweep_oracle)
 from kglab import cli, variance
-from kglab.variance import (_PairEngine, vanishing_bound_sweep,
-                            variance_bruteforce, variance_full,
-                            variance_window)
+from kglab.variance import (SweepSummary, _PairEngine, sweep_classes,
+                            vanishing_bound_sweep, variance_bruteforce,
+                            variance_full, variance_window)
 from kglab.witness import NonLiouvilleWitness, fit_witness
 from provenance import provenance
 
@@ -120,6 +125,24 @@ def layer_split(Q: int, repeats: int) -> tuple[float, float]:
     finally:
         variance._class_sums = inner
     return min(runs)
+
+
+def sweep_cells_timing(Q: int, w: NonLiouvilleWitness, repeats: int,
+                       ) -> tuple[int, float]:
+    """(cells, seconds) to format every cell of the sweep at Q: the bound
+    of each class within the threshold and its same and opp overlaps."""
+    classes = list(sweep_classes(Q, PSI, w, GAMMA, SCALE, SweepSummary()))
+    text = cli.fraction_text
+
+    def run_cells() -> None:
+        for _, _, _, _, _, bnum, bden, oden, same, _, opp, _ in classes:
+            if bnum is not None:
+                text(bnum, bden)
+            text(same, oden)
+            text(opp, oden)
+
+    cells = sum(2 + (c[5] is not None) for c in classes)
+    return cells, best_of(repeats, run_cells)
 
 
 def sweep_argv(Q: int, tmp: str) -> list[str]:
@@ -201,6 +224,10 @@ def bench(Q: int, repeats: int, json_path: str | None) -> int:
             Q, PSI, w, GAMMA, collect_rows=rows))
     print(f"  sweep: Q = {Q}: {out['sweep_rows_s']:8.3f} s with rows, "
           f"{out['sweep_no_rows_s']:.3f} s without")
+    out["sweep_cells"], out["sweep_cells_s"] = sweep_cells_timing(Q, w,
+                                                                  repeats)
+    print(f"  cells: Q = {Q}: {out['sweep_cells_s']:8.3f} s for "
+          f"{out['sweep_cells']} sweep cells")
     with tempfile.TemporaryDirectory() as tmp:
         argv = sweep_argv(Q, tmp)
 

@@ -229,10 +229,30 @@ def csv_line(values) -> str:
 
 
 def fraction_text(n: int, d: int) -> str:
-    """str(Fraction(n, d)) for integers n and d >= 1, from one gcd: n/d in
-    lowest terms, or the integer alone when d divides n (0 when n is 0)."""
+    """str(Fraction(n, d)) for integers n and d >= 1: n/d in lowest terms,
+    or the integer alone when d divides n (0 when n is 0).
+
+    With n = 2^j a and d = 2^k m, a and m odd, gcd(n, d) =
+    2^min(j, k) gcd(a, m), so n/d in lowest terms is a/g over m/g,
+    g = gcd(a, m), with 2^|j - k| put back on the side that had more.
+    Both powers of two are shifted off first, so the one gcd runs on odd
+    parts: the sweep's overlap denominators carry 2^scale_bits and, for a
+    power-law psi with a non-integer exponent, a power-of-two psi
+    denominator, so m is a few bits long."""
+    if not n:
+        return "0"
+    j = (n & -n).bit_length() - 1
+    k = (d & -d).bit_length() - 1
+    n >>= j
+    d >>= k
     g = gcd(n, d)
-    return str(n // g) if g == d else f"{n // g}/{d // g}"
+    n //= g
+    d //= g
+    if j > k:
+        n <<= j - k
+    else:
+        d <<= k - j
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 class Output:
@@ -628,7 +648,12 @@ _SWEEP_KEYS = ["gamma", "psi", "Q", "eta_max", "scale_bits", "format"]
 def cmd_vanishing_sweep(args: argparse.Namespace) -> int:
     gamma = parse_gamma(args.gamma)
     psi = parse_psi(args.psi)
-    Q = int(args.Q)
+    try:
+        Q = int(args.Q)
+    except ValueError as exc:
+        raise ConfigError(f"bad Q {args.Q!r}") from exc
+    if Q < 2:
+        raise ConfigError(f"Q must be >= 2 (got {args.Q!r})")
     scale_bits = shift_scale_bits(args)
     w = fit_witness(gamma, psi, Q, eta_max=int(args.eta_max))
     if isinstance(w, WitnessFitFailure):

@@ -23,7 +23,8 @@ Its one decision loop, ``sweep_classes``, yields these numerators and
 denominators per class and builds one Fraction, the largest overlap/bound
 ratio.  Two consumers format them: ``vanishing_bound_sweep`` as
 Fraction-valued rows, and ``kglab lemma3-sweep`` as output cells, each
-reduced by one gcd with no Fraction.
+reduced with no Fraction: the powers of two are shifted off, so the one
+gcd runs on the odd parts of numerator and denominator.
 """
 
 from __future__ import annotations

@@ -532,6 +532,14 @@ def test_out_of_range_exits_2(tmp_path, argv):
     assert body == b""
 
 
+@pytest.mark.parametrize("q, message", [("abc", "bad Q 'abc'"),
+                                        ("1", "Q must be >= 2 (got '1')")])
+def test_sweep_bad_q_names_the_flag(tmp_path, capsys, q, message):
+    code, body = run(tmp_path, "lemma3-sweep", "--Q", q)
+    assert (code, body) == (EXIT_CONFIG, b"")
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 # A surd shift rounded at fewer than 64 bits is no longer the shift asked
 # for: at 0 bits sqrt(2) becomes 1, and a negative count cannot round.
 @pytest.mark.parametrize("argv", [
@@ -742,3 +750,24 @@ def test_sweep_cells_every_status(tmp_path, monkeypatch):
 def test_fraction_text_matches_str_fraction(n, d):
     assert fraction_text(n, d) == str(Fraction(n, d))
     assert fraction_text(n * d, d) == str(n)
+
+
+# Sweep denominators are a small odd number times a large power of two,
+# which fraction_text shifts off before its one gcd.
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2**300, 2**300), st.integers(0, 600),
+       st.integers(1, 2**200), st.integers(0, 600))
+@example(3, 5, 7, 9)            # v2(n) below v2(d)
+@example(3, 9, 7, 9)            # equal
+@example(3, 12, 7, 9)           # above
+@example(0, 0, 5, 3)            # n = 0
+@example(0, 600, 1, 600)
+@example(-5, 4, 3, 10)          # negative n
+@example(-6, 0, 9, 0)           # odd d
+@example(5, 3, 7, 0)
+@example(3, 4, 1, 600)          # d a pure power of two
+@example(-7, 600, 1, 0)         # d = 1
+@example(-2**300, 600, 2**200, 600)
+def test_fraction_text_two_adic_split(a, j, m, k):
+    n, d = a << j, m << k
+    assert fraction_text(n, d) == str(Fraction(n, d))
