@@ -10,16 +10,19 @@ import resource
 import subprocess
 from pathlib import Path
 
+import kglab
+
 
 def provenance() -> dict:
-    """The checkout's git revision (with "-dirty" when the tree has
+    """The git revision of the checkout that holds the imported ``kglab``,
+    which need not be this script's (with "-dirty" when the tree has
     uncommitted changes; None outside a git checkout), the Python version,
     the CPU count and this process's peak resident set so far, in MiB
     (``ru_maxrss`` is in KiB on Linux)."""
     try:
         proc = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--abbrev=40"],
-            cwd=Path(__file__).resolve().parent, capture_output=True,
+            cwd=Path(kglab.__file__).resolve().parent, capture_output=True,
             text=True, timeout=30)
         revision = proc.stdout.strip() if proc.returncode == 0 else None
     except (OSError, subprocess.TimeoutExpired):

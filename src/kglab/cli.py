@@ -189,16 +189,24 @@ def apply_config(args: argparse.Namespace) -> None:
 # -- output ------------------------------------------------------------------------
 
 
-def config_echo(args: argparse.Namespace, keys: list[str]) -> dict:
-    return {k: getattr(args, k) for k in keys}
+# workers is execution machinery, not experiment config: results must be
+# byte-identical across pool sizes, so it stays out of the metadata echo,
+# as do the two flags that name files
+_NOT_ECHOED = ("config", "out", "workers")
 
 
-def metadata(args: argparse.Namespace, keys: list[str], **extra) -> dict:
+def config_echo(args: argparse.Namespace) -> dict:
+    """The resolved value of each flag of the command, less _NOT_ECHOED."""
+    return {k: getattr(args, k) for k in COMMANDS[args.command][2]
+            if k not in _NOT_ECHOED}
+
+
+def metadata(args: argparse.Namespace, **extra) -> dict:
     md = {
         "tool": "kglab",
         "version": __version__,
         "command": args.command,
-        "config": config_echo(args, keys),
+        "config": config_echo(args),
         "rng_algorithm": ALGORITHM_ID,
         "scale_bits": getattr(args, "scale_bits", None),
         "shell_count_mode": SHELL_COUNT_MODE,
@@ -303,10 +311,9 @@ def emit(path: str, lines: list[str]) -> None:
         write_atomic(path, lines)
 
 
-def emit_document(args: argparse.Namespace, keys: list[str],
-                  body: dict) -> None:
+def emit_document(args: argparse.Namespace, body: dict) -> None:
     """Write one JSON document: the metadata under "meta" beside body."""
-    doc = {"meta": metadata(args, keys), **body}
+    doc = {"meta": metadata(args), **body}
     emit(args.out, [json.dumps(doc, sort_keys=True, default=str) + "\n"])
 
 
@@ -342,12 +349,6 @@ def write_atomic(path: str, lines: list[str]) -> None:
 # -- count ------------------------------------------------------------------------
 
 
-# workers is execution machinery, not experiment config: results must be
-# byte-identical across pool sizes, so it stays out of the metadata echo
-_COUNT_KEYS = ["gamma", "psi", "Q", "trials", "seed", "delta_log",
-               "scale_bits", "format"]
-
-
 def _count_trial(payload) -> tuple[int, list[int]]:
     (gamma_spec, thresholds, q_max, scale_bits, base_seed, trial) = payload
     gamma = parse_gamma(gamma_spec)
@@ -358,8 +359,12 @@ def _count_trial(payload) -> tuple[int, list[int]]:
                                       scale_bits)
 
 
-def _config_hash(args: argparse.Namespace, keys: list[str]) -> str:
-    blob = json.dumps(config_echo(args, keys), sort_keys=True, default=str)
+def _config_hash(args: argparse.Namespace) -> str:
+    """Hash of the config echo less ``format``: a checkpoint holds counts,
+    which do not depend on the output format."""
+    echo = config_echo(args)
+    del echo["format"]
+    blob = json.dumps(echo, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -409,8 +414,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     check_precision_range(q_max, scale_bits)
     table = CountTable(psi, qlist, scale_bits)
 
-    semantic = ["gamma", "psi", "Q", "trials", "seed", "delta_log", "scale_bits"]
-    cfg_hash = _config_hash(args, semantic)
+    cfg_hash = _config_hash(args)
     ckpt_path = None if args.out == "-" else args.out + ".ckpt"
     ckpt_head = json.dumps({"config_hash": cfg_hash}) + "\n"
     done = (_load_checkpoint(ckpt_path, ckpt_head, trials, q_max + 1)
@@ -437,14 +441,15 @@ def cmd_count(args: argparse.Namespace) -> int:
         for t in sorted(done):
             record(t, done[t])
         run = map
-        if workers > 1 and len(payloads) > 1:
+        pool = min(workers, len(payloads))
+        if pool > 1:
             # imported here, so only a multi-process run loads the pool
             from concurrent.futures import ProcessPoolExecutor
-            run = stack.enter_context(ProcessPoolExecutor(workers)).map
+            run = stack.enter_context(ProcessPoolExecutor(pool)).map
         for trial, counts in run(_count_trial, payloads):
             record(trial, counts)
 
-    meta = metadata(args, _COUNT_KEYS, config_hash=cfg_hash, base_seed=seed,
+    meta = metadata(args, config_hash=cfg_hash, base_seed=seed,
                     seed_derivation="splitmix64(seed ^ salt + (trial+1)*gamma)")
     out = Output(args.out, args.format, columns=CountReport.CSV_COLUMNS)
     for trial in range(trials):
@@ -470,10 +475,6 @@ def _remove_checkpoint(path: str | None) -> None:
 
 
 # -- overlap ---------------------------------------------------------------------
-
-
-_OVERLAP_KEYS = ["gamma", "psi", "q", "r", "set_a", "set_b", "resolution",
-                 "scale_bits"]
 
 
 def shift_scale_bits(args: argparse.Namespace) -> int:
@@ -536,14 +537,11 @@ def cmd_overlap(args: argparse.Namespace) -> int:
     else:
         raise ConfigError("need either --set-a/--set-b or --q/--r")
 
-    emit_document(args, _OVERLAP_KEYS, {"result": record})
+    emit_document(args, {"result": record})
     return EXIT_OK if record["status"] == "ok" else EXIT_FAIL
 
 
 # -- variance ---------------------------------------------------------------------
-
-
-_VARIANCE_KEYS = ["gamma", "psi", "Q", "window", "scale_bits"]
 
 
 def cmd_variance(args: argparse.Namespace) -> int:
@@ -563,14 +561,11 @@ def cmd_variance(args: argparse.Namespace) -> int:
         for Q in parse_qlist(args.Q):
             rep = variance_full(Q, psi, gamma, scale_bits)
             out.row(rep.json_dict())
-    out.finish(metadata(args, _VARIANCE_KEYS))
+    out.finish(metadata(args))
     return EXIT_OK
 
 
 # -- gcdsum -----------------------------------------------------------------------
-
-
-_GCDSUM_KEYS = ["q", "q_max", "k", "cap", "primorials", "format"]
 
 
 def cmd_gcdsum(args: argparse.Namespace) -> int:
@@ -588,14 +583,11 @@ def cmd_gcdsum(args: argparse.Namespace) -> int:
         raise ConfigError("need one of --q, --q-max, --primorials")
     for q, total, norm in rows:
         out.row({"q": q, "sum": total, "normalized": norm})
-    out.finish(metadata(args, _GCDSUM_KEYS))
+    out.finish(metadata(args))
     return EXIT_OK
 
 
 # -- cf ---------------------------------------------------------------------------
-
-
-_CF_KEYS = ["gamma", "terms"]
 
 
 def cmd_cf(args: argparse.Namespace) -> int:
@@ -608,7 +600,7 @@ def cmd_cf(args: argparse.Namespace) -> int:
     terms = int(args.terms)
     quots = cf.quotients(terms)
     convs = convergents(cf.a0, quots)
-    emit_document(args, _CF_KEYS, {
+    emit_document(args, {
         "a0": cf.a0,
         "preperiod": list(cf.preperiod),
         "period": list(cf.period),
@@ -621,9 +613,6 @@ def cmd_cf(args: argparse.Namespace) -> int:
 # -- hausdorff ---------------------------------------------------------------------
 
 
-_HAUSDORFF_KEYS = ["exponent", "coefficient", "probe_limit"]
-
-
 def cmd_hausdorff(args: argparse.Namespace) -> int:
     a = Fraction(args.exponent)
     c0 = Fraction(args.coefficient)
@@ -634,15 +623,11 @@ def cmd_hausdorff(args: argparse.Namespace) -> int:
     for side, s in (("above", float(t) + 0.1), ("below", float(t) - 0.1)):
         probes[side] = {"s": s,
                         "partial_sum": hausdorff_partial_sum(psi, s, limit)}
-    emit_document(args, _HAUSDORFF_KEYS,
-                  {"t": str(t), "dim": str(dim), "probes": probes})
+    emit_document(args, {"t": str(t), "dim": str(dim), "probes": probes})
     return EXIT_OK
 
 
 # -- lemma3-sweep -------------------------------------------------------------------
-
-
-_SWEEP_KEYS = ["gamma", "psi", "Q", "eta_max", "scale_bits", "format"]
 
 
 def cmd_vanishing_sweep(args: argparse.Namespace) -> int:
@@ -680,7 +665,7 @@ def cmd_vanishing_sweep(args: argparse.Namespace) -> int:
             out.row(dict(zip(cols, (d, e, r, q, thr, fraction_text(opp, oden),
                                     bound, s_opp, "opp"))))
     out.finish(metadata(
-        args, _SWEEP_KEYS,
+        args,
         witness={"eta": w.eta, "c": str(w.c), "C": str(w.C),
                  "epsilon": str(w.epsilon), "M": w.M, "K": str(w.K)},
         summary={"rows": summary.n_rows,

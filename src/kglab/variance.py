@@ -14,11 +14,13 @@ Overlaps have one representation, integers over one denominator.  With
 the shift sn/sd, every psi(n) an integer over td (the lcm of the psi
 denominators) and L = lcm(1..Q), each pair overlap and each product of
 measures is an integer over L*sd*td**2 (the measure fields are over td).
-Every class needs its pair at both relative signs, and one
-``overlap_1d_num`` call gives both.  A variance report sums these integers
-and builds each field as one Fraction at the end.  The sweep takes each
-overlap unscaled, as an integer over lcm(d, e)*sd*td**2, and compares it
-with its Lemma 3 bound (an integer over d*td**2) by cross-multiplication.
+Every class needs its pair at both relative signs: ``_PairEngine.pair``
+gives both from one ``overlap_1d_num`` call, each over
+lcm(d, e)*sd*td**2.  The variance loops scale each by L // lcm(d, e) where
+they sum it, count ``n_overlap_evals`` from their own bounds and build each
+report field as one Fraction at the end.  The sweep takes each overlap as
+``pair`` gives it and compares it with its Lemma 3 bound (an integer over
+d*td**2) by cross-multiplication.
 Its one decision loop, ``sweep_classes``, yields these numerators and
 denominators per class and builds one Fraction, the largest overlap/bound
 ratio.  Two consumers format them: ``vanishing_bound_sweep`` as
@@ -97,14 +99,13 @@ class _PairEngine:
     The shift is sn/sd, hoisted once.  psi(n) for n <= q_max is the
     integer ``psi_num[n]`` over one common denominator ``td``, the lcm of
     the psi denominators: a power of two for the power laws, about
-    lcm(1..q_max) for 1/q.  One ``overlap_1d_num`` call gives the integer
-    overlap of multipliers d, e at both relative signs, each over
-    lcm(d, e)*sd*td**2; ``pair_raw`` returns the two so, for the sweep.
-    ``overlap_num`` (one sign) and ``pair_num`` (their sum) scale by
-    L // lcm(d, e) to ``den`` = L*sd*td**2 with L = lcm(1..q_max), the one
-    denominator of a variance report's sums.  A product of measures
-    2*psi(m) * 2*psi(n) is 4*psi_num[m]*psi_num[n]*``unit`` over ``den``,
-    with ``unit`` = L*sd.
+    lcm(1..q_max) for 1/q.  ``pair`` is one ``overlap_1d_num`` call: the
+    integer overlap of multipliers d, e at both relative signs, each over
+    lcm(d, e)*sd*td**2.  The sweep compares these as they are; a variance
+    report's callers scale each by L // lcm(d, e) to ``den`` = L*sd*td**2,
+    with L = lcm(1..q_max), the one denominator of the report's sums.  A
+    product of measures 2*psi(m) * 2*psi(n) is
+    4*psi_num[m]*psi_num[n]*``unit`` over ``den``, with ``unit`` = L*sd.
     """
 
     def __init__(self, psi: ApproxFunction, gamma, scale_bits: int,
@@ -117,50 +118,30 @@ class _PairEngine:
         self.L = lcm(*range(1, q_max + 1))
         self.unit = self.L * self.sd
         self.den = self.unit * self.td ** 2
-        self.evals = 0
         self.scale_bits = scale_bits
 
-    def overlap_num(self, np_: int, d: int, e: int, same_sign: bool) -> int:
-        """lambda_2 overlap of (s1*d*P, s2*e*P), times ``den``, for any
-        direction P of norm np_ (the value does not depend on P, only on
-        the norms and on whether the signs s1, s2 agree)."""
-        self.evals += 1
-        sn = self.sn
-        plus, minus = overlap_1d_num(d, self.psi_num[d * np_], e,
-                                     self.psi_num[e * np_], self.td, sn, sn,
-                                     self.sd)
-        return (plus if same_sign else minus) * (self.L // lcm(d, e))
-
-    def pair_raw(self, np_: int, d: int, e: int) -> tuple[int, int]:
-        """Same-sign and opposite-sign overlap of multipliers d, e along a
-        direction of norm np_, each unscaled: over lcm(d, e)*sd*td**2."""
-        self.evals += 2
+    def pair(self, np_: int, d: int, e: int) -> tuple[int, int]:
+        """Same-sign and opposite-sign overlap of multipliers d, e along any
+        direction of norm np_ (the value depends only on the norms), each
+        over lcm(d, e)*sd*td**2."""
         sn = self.sn
         return overlap_1d_num(d, self.psi_num[d * np_], e,
                               self.psi_num[e * np_], self.td, sn, sn, self.sd)
-
-    def pair_num(self, np_: int, d: int, e: int) -> int:
-        """Same-sign plus opposite-sign overlap of multipliers d, e along
-        a direction of norm np_, times ``den``."""
-        self.evals += 2
-        sn = self.sn
-        plus, minus = overlap_1d_num(d, self.psi_num[d * np_], e,
-                                     self.psi_num[e * np_], self.td, sn, sn,
-                                     self.sd)
-        return (plus + minus) * (self.L // lcm(d, e))
 
 
 def _class_sums(engine: _PairEngine, np_: int, d_lo: int, d_hi: int) -> int:
     """Overlap sum minus product sum, over ``engine.den``, of all ordered
     signed multiplier pairs of one direction class with multipliers in
     [d_lo, d_hi]."""
+    pair, L = engine.pair, engine.L
     ov = 0
     psi_sum = 0
     for d in range(d_lo, d_hi + 1):
         psi_sum += engine.psi_num[d * np_]
         for e in range(d_lo, d + 1):
-            pair = engine.pair_num(np_, d, e)
-            ov += 2 * pair if d == e else 4 * pair
+            same, opp = pair(np_, d, e)
+            both = (same + opp) * (L // lcm(d, e))
+            ov += 2 * both if d == e else 4 * both
     # the class's measure sum is 4*psi_sum/td (two signs, measure 2*psi)
     return ov - 16 * engine.unit * psi_sum * psi_sum
 
@@ -174,19 +155,27 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
     paired with the whole shells and with every boundary vector.  Every
     term is an integer over ``engine.den`` (measures over ``engine.td``),
     so each report field is one Fraction, built at the end.
+
+    ``n_overlap_evals`` counts the signed pair overlaps the sums take, from
+    the loop bounds: m(m+1) per whole direction class with m multipliers in
+    range, 2m per boundary vector against the m whole multipliers of its
+    direction, and k**2 per k boundary vectors of one direction.
     """
     def d_range(np_: int) -> tuple[int, int]:
         # multipliers d with n_lo <= d*np_ <= n_hi
         return -(-n_lo // np_), n_hi // np_
 
-    psi_num, unit = engine.psi_num, engine.unit
+    psi_num, unit, pair, L = engine.psi_num, engine.unit, engine.pair, engine.L
 
     # whole x whole, grouped by direction class
     variance = 0
+    evals = 0
     for np_ in range(1, n_hi + 1):
         d_lo, d_hi = d_range(np_)
         if d_lo <= d_hi:
             variance += 4 * phi(np_) * _class_sums(engine, np_, d_lo, d_hi)
+            m = d_hi - d_lo + 1
+            evals += m * (m + 1)
 
     # boundary x whole (ordered pairs, hence factor 2)
     by_dir: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -195,20 +184,25 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
         by_dir.setdefault(pb, []).append((b.g, sb))
         np_ = max(abs(pb[0]), abs(pb[1]))
         d_lo, d_hi = d_range(np_)
+        whole = range(d_lo, d_hi + 1)
         cross = 0
         psi_sum = 0
-        for e in range(d_lo, d_hi + 1):
-            cross += engine.pair_num(np_, b.g, e)
+        for e in whole:
+            same, opp = pair(np_, b.g, e)
+            cross += (same + opp) * (L // lcm(b.g, e))
             psi_sum += psi_num[e * np_]
+        evals += 2 * len(whole)
         # lambda_b * (both signs of e) = 2*psi_b * 2 * 2*psi_e
         variance += 2 * (cross - 8 * unit * psi_num[b.norm] * psi_sum)
 
     # boundary x boundary (all ordered pairs, including b with itself)
     for pb, members in by_dir.items():
         np_ = max(abs(pb[0]), abs(pb[1]))
+        evals += len(members) ** 2
         for d1, s1 in members:
             for d2, s2 in members:
-                ov = engine.overlap_num(np_, d1, d2, s1 == s2)
+                same, opp = pair(np_, d1, d2)
+                ov = (same if s1 == s2 else opp) * (L // lcm(d1, d2))
                 variance += ov - 4 * unit * psi_num[d1 * np_] * psi_num[d2 * np_]
 
     # measure sum, diagonal and max measure over td: (norm, vectors of that norm)
@@ -229,8 +223,8 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
         variance=Fraction(variance, engine.den),
         diagonal=Fraction(diagonal, td * td),
         max_measure=Fraction(2 * max_psi, td),
-        n_overlap_evals=engine.evals,
-        shift_error_bound=engine.evals * 2.0 ** (8 - engine.scale_bits),
+        n_overlap_evals=evals,
+        shift_error_bound=evals * 2.0 ** (8 - engine.scale_bits),
     )
 
 
@@ -343,7 +337,7 @@ def sweep_classes(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
                 # ov = raw/(l*sd*td**2) with l = lcm(d, e) and bound =
                 # bnum/(d*td**2), so ov <= bound  <=>  raw*d <= bnum*l*sd
                 l_sd = lcm(d, e) * sd
-                same, opp = engine.pair_raw(np_, d, e)
+                same, opp = engine.pair(np_, d, e)
                 if r_norm > thr:
                     bnum = None
                     s_same = "zero-confirmed" if same == 0 else "VIOLATION"

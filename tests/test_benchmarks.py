@@ -3,7 +3,9 @@ deleted or renamed without this failing.  The perfbench smoke run checks
 every op's output and golden digest, so a change that the benchmark would
 reject fails here too."""
 
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,3 +35,24 @@ def test_perfbench_smoke_passes():
                           cwd=ROOT, capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_provenance_names_the_imported_kglab(tmp_path):
+    """The revision is that of the checkout holding the imported kglab, not
+    of the script's: a copy of the package outside any checkout has none."""
+    shutil.copytree(ROOT / "src" / "kglab", tmp_path / "kglab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+    env["GIT_CEILING_DIRECTORIES"] = str(tmp_path)  # no checkout above it
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path),
+                                         str(ROOT / "benchmarks")])
+    code = ("import json, kglab, provenance\n"
+            "print(kglab.__file__)\n"
+            "print(json.dumps(provenance.provenance()))\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    path, doc = proc.stdout.splitlines()
+    assert Path(path).parent == tmp_path / "kglab"
+    assert json.loads(doc)["git_revision"] is None

@@ -1,4 +1,5 @@
 import argparse
+import concurrent.futures
 import csv
 import hashlib
 import io
@@ -99,6 +100,34 @@ class TestCount:
         _, body1 = run(tmp_path, *base, "--workers", "1")
         _, body8 = run(tmp_path, *base, "--workers", "8")
         assert body1 == body8
+
+    def test_pool_no_larger_than_trials(self, tmp_path, monkeypatch):
+        # a stand-in pool records its size and maps in this process, so no
+        # worker process is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        base = ("count", "--Q", "20", "--trials", "3", "--seed", "5")
+        code1, body1 = run(tmp_path, *base, "--workers", "1")
+        assert sizes == []
+        code64, body64 = run(tmp_path, *base, "--workers", "64")
+        assert sizes == [3]
+        assert code1 == code64 == EXIT_OK
+        assert body64 == body1
 
     def test_column_order_frozen(self, tmp_path):
         _, body = run(tmp_path, "count", "--Q", "5", "--trials", "1")
