@@ -4,7 +4,11 @@
 Layers, at --Q (default 2000) with psi = q^-3/4 and gamma = sqrt(2):
   table   ``CountTable``: psi evaluated once per q <= Q, the kernel
           thresholds and the integer prefix sums of the report terms;
-  kernel  the floor-sum kernel ``count_by_shell_raw``;
+          split into
+    psi   ``eval_psi`` for q <= Q (the power law's integer roots), and
+    rest  ``CountTable`` over a ``TablePsi`` of the same values, so that
+          psi is a dict lookup: the thresholds and the prefix sums;
+  kernel  the chain-walk kernel ``count_by_shell_raw``;
   report  ``make_report`` at Q from the table;
   import  ``import kglab.cli`` in a fresh interpreter: the median of 5
           runs after one discarded warm-up.
@@ -32,7 +36,7 @@ from pathlib import Path
 
 from kglab._kernels import count_by_shell_raw, count_python
 from kglab.counting import CountTable, chi_term, main_term, make_report
-from kglab.psifunc import PowerLaw
+from kglab.psifunc import PowerLaw, TablePsi, eval_psi
 from kglab.rng import RngStream
 from kglab.surd import QuadraticSurd, surd_eval
 from provenance import provenance
@@ -87,12 +91,19 @@ def bench(Q: int, repeats: int, json_path: str | None) -> int:
     out = {}
     out["table_s"], table = best_of(repeats,
                                     lambda: CountTable(PSI, [Q], SCALE))
+    out["psi_s"], vals = best_of(repeats, lambda: [
+        eval_psi(PSI, q) for q in range(1, Q + 1)])
+    looked_up = TablePsi(dict(enumerate(vals, 1)))
+    out["rest_s"], rest = best_of(repeats,
+                                  lambda: CountTable(looked_up, [Q], SCALE))
     raw = (a1.mantissa, a2.mantissa, gamma, SCALE, table.thresholds)
     out["kernel_s"], counts = best_of(repeats,
                                       lambda: count_by_shell_raw(*raw, Q))
     out["report_s"], rep = best_of(repeats, lambda: make_report(
         0, counts, Q, table, Fraction(1, 2), "sqrt:2", PSI.describe()))
     print(f"  table: Q = {Q}: {out['table_s']:8.3f} s")
+    print(f"    psi: Q = {Q}: {out['psi_s']:8.3f} s")
+    print(f"   rest: Q = {Q}: {out['rest_s']:8.3f} s")
     print(f" kernel: Q = {Q}: {out['kernel_s']:8.3f} s   N = {rep.N}")
     print(f" report: Q = {Q}: {out['report_s']:8.5f} s")
     out["import_s"] = import_seconds(IMPORT_RUNS)
@@ -107,6 +118,9 @@ def bench(Q: int, repeats: int, json_path: str | None) -> int:
     ref = count_python(*raw, q_ref)
     print(f" oracle: Q = {q_ref}: {time.perf_counter() - t0:8.3f} s")
     status = 0
+    if (rest.thresholds, rest.terms) != (table.thresholds, table.terms):
+        print("MISMATCH between the table of psi and of its values")
+        status = 1
     bad = [n for n in range(q_ref + 1) if counts[n] != ref[n]]
     if bad:
         print(f"MISMATCH with the oracle on shells {bad[:10]}")

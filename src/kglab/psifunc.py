@@ -21,15 +21,18 @@ HALF = Fraction(1, 2)
 
 
 def integer_nth_root(n: int, k: int) -> int:
-    """floor(n ** (1/k)) for n >= 0, k >= 1 (Newton on big ints)."""
+    """floor(n ** (1/k)) for n >= 0, k >= 1 (Newton on big ints).
+
+    Each factor 2 of k is one ``isqrt``, since floor(isqrt(n) ** (1/j)) =
+    floor(n ** (1/(2j))); Newton takes only the odd part of k.
+    """
     if n < 0 or k < 1:
         raise ValueError("need n >= 0, k >= 1")
-    if n == 0:
-        return 0
-    if k == 1:
+    while k % 2 == 0:
+        n = isqrt(n)
+        k //= 2
+    if k == 1 or n == 0:
         return n
-    if k == 2:
-        return isqrt(n)
     x = 1 << (-(-n.bit_length() // k) + 1)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

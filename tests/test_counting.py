@@ -2,10 +2,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kglab import counting
-from kglab._kernels import count_by_shell_raw, count_python
+from kglab._kernels import (chain_floor_sum, count_by_shell_raw,
+                            count_python, euclid_chain)
 from kglab.counting import (CountReport, CountTable, chi_term,
                             count_by_shell, count_solutions, main_term,
                             make_report, normalized_error)
@@ -22,7 +23,7 @@ PSI_34 = PowerLaw(F(1), F(3, 4))
 
 # N(alpha, 500) for gamma = sqrt2, psi = q^(-3/4), seed-0 alpha; frozen
 # after the shell-walk oracle and two independent vector-sweep kernels
-# agreed at scales 192 and 256 (the independent recount); the floor-sum
+# agreed at scales 192 and 256 (the independent recount); the chain-walk
 # kernel must reproduce it
 GOLDEN_Q500_SEED0 = 30259
 
@@ -85,6 +86,30 @@ def test_kernel_matches_oracle_on_ties_and_windows():
     for psi in cases:
         assert np.array_equal(count_by_shell(a, 15, F(3, 7), psi),
                               oracle_by_shell(a, 15, F(3, 7), psi))
+
+
+@st.composite
+def floor_sum_args(draw):
+    """(n, m, a, b) for sum_{i<n} floor((a*i + b) / m): moduli of any
+    form, a at 0 and m - 1 and beyond m, b below and beyond m, n at 0, 1."""
+    m = draw(st.one_of(st.integers(1, 50), st.integers(1, 1 << 130)))
+    a = draw(st.one_of(st.sampled_from([0, m - 1, m, m + 1]),
+                       st.integers(0, 3 * m)))
+    b = draw(st.one_of(st.integers(0, m - 1), st.integers(m, 5 * m)))
+    n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 60)))
+    return n, m, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(floor_sum_args())
+@example((0, 7, 3, 2))
+@example((1, 12, 0, 30))
+@example((25, 12, 11, 13))
+@example((40, 3 * 2 ** 64 + 1, 3 * 2 ** 64, 2 ** 70))
+def test_chain_walk_matches_direct_sum(args):
+    n, m, a, b = args
+    assert (chain_floor_sum(euclid_chain(m, a), n, b)
+            == sum((a * i + b) // m for i in range(n)))
 
 
 @st.composite

@@ -21,6 +21,45 @@ def test_integer_nth_root():
     assert r ** 7 <= big < (r + 1) ** 7
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_integer_nth_root_definition(k):
+    # even k goes through nested isqrt, odd parts > 1 through Newton
+    rng = random.Random(k)
+    ns = {0, 1}
+    for x in (2, 3, 10, 2 ** 40 + 1, rng.getrandbits(100)):
+        ns |= {x ** k - 1, x ** k, x ** k + 1}
+    ns |= {rng.getrandbits(800) | 1 << 799 for _ in range(50)}
+    for n in ns:
+        r = integer_nth_root(n, k)
+        assert r ** k <= n < (r + 1) ** k
+
+
+def _newton_root(n, k):
+    """floor(n ** (1/k)) by Newton alone: the reference for PowerLaw."""
+    if n == 0 or k == 1:
+        return n
+    x = 1 << (-(-n.bit_length() // k) + 1)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            break
+        x = y
+    while x ** k > n:
+        x -= 1
+    return x
+
+
+@pytest.mark.parametrize("a", [Fraction(3, 4), Fraction(5, 6),
+                               Fraction(7, 8)])
+def test_power_law_roots_match_newton(a):
+    c0, g = Fraction(1, 3), 192
+    psi = PowerLaw(c0, a)
+    for q in range(1, 501):
+        t = _newton_root((1 << g * a.denominator) // q ** a.numerator,
+                         a.denominator)
+        assert eval_psi(psi, q) == min(HALF, c0 * Fraction(t, 1 << g))
+
+
 def test_power_law_examples():
     # 16^(3/4) = 8
     assert eval_psi(PowerLaw(Fraction(1), Fraction(3, 4)), 16) == Fraction(1, 8)
