@@ -143,14 +143,7 @@ def make_liouville(levels: int) -> CFExpansion:
     if levels > 8:
         raise ValueError("levels > 8 produces astronomically large quotients")
     quots = [2]
-    p_prev, q_prev = 1, 0
-    p, q = 0, 1  # a0 = 0
-    for a in quots:
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
     for k in range(2, levels + 1):
-        a = LIOUVILLE_BOOST * q ** k
-        quots.append(a)
-        p, p_prev = a * p + p_prev, p
-        q, q_prev = a * q + q_prev, q
+        q = convergents(0, quots)[-1][1]  # q_{k-1}
+        quots.append(LIOUVILLE_BOOST * q ** k)
     return CFExpansion(0, tuple(quots), (2,))

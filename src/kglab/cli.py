@@ -66,7 +66,14 @@ class OutputError(Exception):
 
 
 def parse_gamma(spec: str):
-    """'sqrt:2' | 'surd:a,b,r,d' | 'cf:a0[,pre...];per,...' | 'liouville:k'."""
+    """'sqrt:2' | 'surd:a,b,r,d' | 'cf:a0[,pre...];per,...' | 'liouville:k'.
+
+    'liouville:k' is the surd of ``make_liouville(k)``, a negative test of
+    the witness fitter, not a finite-Q model of a Liouville number: for
+    k >= 2 it is [0; 2, 4.8e24, ...], within 1e-24 below 1/2, so at every
+    Q the lab reaches it behaves as the rational 1/2, and ``lemma3-sweep``
+    exits 1 with a failed witness fit (worst_q=2).
+    """
     try:
         kind, _, rest = spec.partition(":")
         if kind == "sqrt":
@@ -687,32 +694,35 @@ _COMMON = {"config": (None, "key=value config file"),
 _ROWS = {**_COMMON, "format": ("csv", None)}  # commands writing CSV or JSONL
 _SCALE = {"scale_bits": (str(DEFAULT_SCALE_BITS), None)}  # commands that round
 CHOICES = {"format": ("csv", "jsonl")}  # flags with a fixed set of values
+GAMMA_HELP = ("sqrt:D | surd:a,b,r,d | cf:a0[,pre...];per,... | liouville:k "
+              "(a witness-fit negative test: for k >= 2 it lies within 1e-24 "
+              "below 1/2, so at finite Q it acts as the rational 1/2)")
 
 COMMANDS = {
     "count": (cmd_count, "counting-function experiments", {
-        **_ROWS, **_SCALE, "gamma": ("sqrt:2", None),
+        **_ROWS, **_SCALE, "gamma": ("sqrt:2", GAMMA_HELP),
         "psi": ("pow:1,3/4", None), "Q": ("100", "height or comma list"),
         "trials": ("1", None), "seed": ("0", None), "delta_log": ("1/2", None),
         "workers": (str(os.cpu_count() or 1), None)}),
     "overlap": (cmd_overlap, "single overlap record", {
-        **_COMMON, **_SCALE, "gamma": (None, None), "psi": (None, None),
+        **_COMMON, **_SCALE, "gamma": (None, GAMMA_HELP), "psi": (None, None),
         "q": (None, "vector q1,q2"), "r": (None, "vector r1,r2"),
         "set_a": (None, None), "set_b": (None, None),
         "resolution": (None, None)}),
     "variance": (cmd_variance, "JSONL variance reports over Q or a window", {
-        **_COMMON, **_SCALE, "gamma": ("sqrt:2", None),
+        **_COMMON, **_SCALE, "gamma": ("sqrt:2", GAMMA_HELP),
         "psi": ("pow:1/4,1/2", None), "Q": ("100", "comma list of heights"),
         "window": (None, "u1,u2:v1,v2")}),
     "gcdsum": (cmd_gcdsum, "gcd power-sum diagnostics", {
         **_ROWS, "q": (None, None), "q_max": (None, None), "k": ("2", None),
         "cap": (None, "exponent cap, e.g. 3/4"), "primorials": (None, None)}),
     "cf": (cmd_cf, "continued-fraction expansion", {
-        **_COMMON, "gamma": ("sqrt:2", None), "terms": ("10", None)}),
+        **_COMMON, "gamma": ("sqrt:2", GAMMA_HELP), "terms": ("10", None)}),
     "hausdorff": (cmd_hausdorff, "critical exponent and probes", {
         **_COMMON, "exponent": ("2", None), "coefficient": ("8", None),
         "probe_limit": ("1000000", None)}),
     "lemma3-sweep": (cmd_vanishing_sweep, "vanishing/bound sweep", {
-        **_ROWS, **_SCALE, "gamma": ("sqrt:2", None),
+        **_ROWS, **_SCALE, "gamma": ("sqrt:2", GAMMA_HELP),
         "psi": ("pow:1/4,1/2", None), "Q": ("100", None),
         "eta_max": (str(ETA_MAX_DEFAULT), None)}),
 }

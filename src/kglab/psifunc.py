@@ -79,7 +79,8 @@ class PowerLaw(ApproxFunction):
             return self.c0 / Fraction(q) ** num
         # q**(-a) ~ T / 2**GUARD with T = floor((2**(G*den) // q**num)**(1/den))
         t = integer_nth_root((1 << (GUARD_BITS * den)) // q ** num, den)
-        return self.c0 * Fraction(t, 1 << GUARD_BITS)
+        return Fraction(self.c0.numerator * t,
+                        self.c0.denominator << GUARD_BITS)
 
     def describe(self) -> str:
         return f"pow:{self.c0},{self.a}"
@@ -195,37 +196,27 @@ def hausdorff_exponent(psi: ApproxFunction) -> tuple[Fraction, Fraction]:
     """
     if not isinstance(psi, PowerLaw):
         raise ValueError("hausdorff exponent requires a pure power law")
-    core = psi
-    if core.a == 0:
+    if psi.a == 0:
         raise ValueError(
             "exponent a = 0: series diverges for every s (t = infinity, dim = 2)"
         )
-    t = 1 + Fraction(3) / (core.a + 1)
+    t = 1 + Fraction(3) / (psi.a + 1)
     return t, min(t, Fraction(2))
 
 
 def hausdorff_partial_sum(psi: ApproxFunction, s: float, q_max: int) -> float:
-    """Diagnostic partial sum of q^2 (psi(q)/q)^(s-1) up to q_max.
+    """Diagnostic partial sum of q^2 (psi(q)/q)^(s-1) up to q_max, for a
+    pure power law (as ``hausdorff_exponent``), psi capped at 1/2.
 
     Float arithmetic is fine here: the probe only separates bounded partial
     sums from divergent growth and feeds no membership test.
     """
     import numpy as np
 
+    if not isinstance(psi, PowerLaw):
+        raise ValueError("partial-sum probe requires a pure power law")
     if q_max < 1:
         raise ValueError("need q_max >= 1")
-
-    def values(f: ApproxFunction) -> np.ndarray:
-        # float mirror of eval_psi: wrappers apply innermost first
-        if isinstance(f, Clamp):
-            vals = np.minimum(values(f.inner), 0.5 / q)
-        elif isinstance(f, Window):
-            vals = np.where((q >= f.lo) & (q <= f.hi), values(f.inner), 0.0)
-        elif isinstance(f, PowerLaw):
-            vals = float(f.c0) * q ** (-float(f.a))
-        else:
-            raise ValueError("partial-sum probe requires a power-law family psi")
-        return np.minimum(vals, 0.5)
-
     q = np.arange(1, q_max + 1, dtype=np.float64)
-    return float(np.sum(q ** 2 * (values(psi) / q) ** (s - 1.0)))
+    vals = np.minimum(float(psi.c0) * q ** (-float(psi.a)), 0.5)
+    return float(np.sum(q ** 2 * (vals / q) ** (s - 1.0)))

@@ -179,7 +179,7 @@ def dist_to_nearest_int_exact(gamma: QuadraticSurd, q: int) -> QuadraticSurd | F
     """||q*gamma|| as an exact surd (or Fraction when gamma is rational)."""
     if q == 0:
         return Fraction(0)
-    x = gamma.mul_int(q) if q != 0 else gamma
+    x = gamma.mul_int(q)
     if x.is_rational:
         v = Fraction(x.a, x.r)
         f = v - v.__floor__()

@@ -10,22 +10,35 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("argv", [
-    ["benchmarks/compare_kernels.py", "--Q", "50", "--repeats", "1"],
-    ["benchmarks/compare_variance.py", "--Q", "20", "--repeats", "1"],
-])
-def test_benchmark_script_runs(argv):
+COUNT_KEYS = {"table_s", "psi_s", "rest_s", "kernel_s", "report_s"}
+VARIANCE_KEYS = {"pairs", "core_pair_us", "variance_full_s", "class_sums_s",
+                 "report_s", "window_s", "sweep_rows_s", "sweep_no_rows_s",
+                 "sweep_cells", "sweep_cells_s", "sweep_cli_s",
+                 "sweep_cli_peak_rss_mib"}
+PROVENANCE_KEYS = {"git_revision", "python", "cpu_count", "peak_rss_mib"}
+
+
+def test_layer_script_runs_and_writes_json(tmp_path):
+    """Every layer of both engines is timed and every oracle check passes;
+    --json writes one document with a group per engine."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=600)
+    path = tmp_path / "layers.json"
+    proc = subprocess.run([sys.executable, "benchmarks/layers.py", "--Q",
+                           "200", "--repeats", "1", "--json", str(path)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    doc = json.loads(path.read_text())
+    assert set(doc) == {"Q", "repeats", "count", "variance", "provenance"}
+    assert (doc["Q"], doc["repeats"]) == (200, 1)
+    assert set(doc["count"]) == COUNT_KEYS
+    assert set(doc["variance"]) == VARIANCE_KEYS
+    assert set(doc["provenance"]) == PROVENANCE_KEYS
 
 
 def test_perfbench_smoke_passes():
@@ -46,9 +59,9 @@ def test_provenance_names_the_imported_kglab(tmp_path):
     env["GIT_CEILING_DIRECTORIES"] = str(tmp_path)  # no checkout above it
     env["PYTHONPATH"] = os.pathsep.join([str(tmp_path),
                                          str(ROOT / "benchmarks")])
-    code = ("import json, kglab, provenance\n"
+    code = ("import json, kglab, layers\n"
             "print(kglab.__file__)\n"
-            "print(json.dumps(provenance.provenance()))\n")
+            "print(json.dumps(layers.provenance()))\n")
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
                           env=env, capture_output=True, text=True,
                           timeout=120)

@@ -154,13 +154,11 @@ def test_partial_sum_probe_side_separation():
     assert below_big > 1.5 * below_small
 
 
-def test_partial_sum_applies_nested_wrappers():
-    # both wrappers act, innermost first, in either nesting
+def test_partial_sum_requires_a_power_law():
     core = PowerLaw(Fraction(1), Fraction(1, 2))
-    for psi in (Clamp(Window(core, 1, 10)), Window(Clamp(core), 1, 10)):
-        want = sum(q ** 2 * (float(eval_psi(psi, q)) / q) ** 0.5
-                   for q in range(1, 51))
-        assert hausdorff_partial_sum(psi, 1.5, 50) == pytest.approx(want)
+    for psi in (Clamp(core), Window(core, 1, 10), TablePsi({1: HALF})):
+        with pytest.raises(ValueError):
+            hausdorff_partial_sum(psi, 1.5, 50)
 
 
 def test_psi_mantissas():
