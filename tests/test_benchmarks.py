@@ -10,6 +10,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -21,21 +23,25 @@ VARIANCE_KEYS = {"pairs", "core_pair_us", "variance_full_s", "class_sums_s",
 PROVENANCE_KEYS = {"git_revision", "python", "cpu_count", "peak_rss_mib"}
 
 
-def test_layer_script_runs_and_writes_json(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["benchmarks/layers.py", "--Q", "50", "--repeats", "1"],
+    ["benchmarks/layers.py", "--Q", "200", "--repeats", "1"],
+])
+def test_benchmark_script_runs(argv, tmp_path):
     """Every layer of both engines is timed and every oracle check passes;
-    --json writes one document with a group per engine."""
+    --json writes one document with a group per engine.  At Q = 50 the
+    variance layers run at Q = 5, where the sweep has only a few rows."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     path = tmp_path / "layers.json"
-    proc = subprocess.run([sys.executable, "benchmarks/layers.py", "--Q",
-                           "200", "--repeats", "1", "--json", str(path)],
+    proc = subprocess.run([sys.executable, *argv, "--json", str(path)],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     doc = json.loads(path.read_text())
     assert set(doc) == {"Q", "repeats", "count", "variance", "provenance"}
-    assert (doc["Q"], doc["repeats"]) == (200, 1)
+    assert (doc["Q"], doc["repeats"]) == (int(argv[2]), 1)
     assert set(doc["count"]) == COUNT_KEYS
     assert set(doc["variance"]) == VARIANCE_KEYS
     assert set(doc["provenance"]) == PROVENANCE_KEYS
