@@ -357,8 +357,7 @@ def write_atomic(path: str, lines: list[str]) -> None:
 
 
 def _count_trial(payload) -> tuple[int, list[int]]:
-    (gamma_spec, thresholds, q_max, scale_bits, base_seed, trial) = payload
-    gamma = parse_gamma(gamma_spec)
+    (gamma, thresholds, q_max, scale_bits, base_seed, trial) = payload
     seed = derive_seed(base_seed, trial)
     rng = RngStream(seed)
     alpha = rng.sample_torus_point(scale_bits)
@@ -416,7 +415,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     delta_log = Fraction(args.delta_log)
     if trials < 1 or workers < 1:
         raise ConfigError("trials and workers must be >= 1")
-    parse_gamma(args.gamma)
+    gamma = parse_gamma(args.gamma)
     psi = parse_psi(args.psi)
     check_precision_range(q_max, scale_bits)
     table = CountTable(psi, qlist, scale_bits)
@@ -426,7 +425,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     ckpt_head = json.dumps({"config_hash": cfg_hash}) + "\n"
     done = (_load_checkpoint(ckpt_path, ckpt_head, trials, q_max + 1)
             if ckpt_path else {})
-    payloads = [(args.gamma, table.thresholds, q_max, scale_bits, seed, t)
+    payloads = [(gamma, table.thresholds, q_max, scale_bits, seed, t)
                 for t in range(trials) if t not in done]
     results: dict[int, list[int]] = {}
     with contextlib.ExitStack() as stack:

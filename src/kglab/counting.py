@@ -8,12 +8,13 @@ mantissas and every membership decision is an integer comparison (see
 admissible integers p and counts twice; the event is detectable because
 the arithmetic is exact, and has probability zero for sampled alpha.
 
-A count run evaluates psi once per q <= Q_max, in one ``CountTable``.  The
-kernel reads its shell thresholds from it, and every report reads its
-terms from three integer prefix sums over one denominator: sum q*psi,
-sum psi and sum sigma(q)*psi, with sigma from one divisor-sum sieve.
-``main_term`` and ``chi_term`` sum the same terms from q = 1 with
-``Fraction``s and are kept as the oracles of the table.
+A count run evaluates psi once per q <= Q_max, in one ``CountTable`` built
+on ``psi_table``, the integers over one denominator td that the variance
+engine reads too.  The kernel reads its shell thresholds from it, and
+every report reads its terms from three integer prefix sums over td:
+sum q*psi, sum psi and sum sigma(q)*psi, with sigma from one divisor-sum
+sieve.  ``main_term`` and ``chi_term`` sum the same terms from
+q = 1 with ``Fraction``s and are kept as the oracles of the table.
 """
 
 from __future__ import annotations
@@ -26,22 +27,17 @@ from ._kernels import count_by_shell_raw
 from .fixedpoint import (DEFAULT_SCALE_BITS, MIN_SCALE_BITS, FixedPoint,
                          PrecisionError)
 from .lattice import divisor_sums, divisors, shell_size
-from .psifunc import ApproxFunction, eval_psi, psi_mantissas
-from .surd import QuadraticSurd, surd_eval
+from .psifunc import ApproxFunction, eval_psi, psi_mantissas, psi_table
+from .torus import as_shift
 
 
 def _gamma_mantissa(gamma, scale_bits: int) -> int:
-    one = 1 << scale_bits
-    if isinstance(gamma, QuadraticSurd):
-        return surd_eval(gamma, 1, scale_bits).mantissa
-    if isinstance(gamma, FixedPoint):
-        if gamma.scale_bits > scale_bits:
-            raise PrecisionError("gamma carries more precision than the sweep scale")
-        return (gamma.mantissa << (scale_bits - gamma.scale_bits)) % one
-    if isinstance(gamma, (int, Fraction)):
-        fr = Fraction(gamma)
-        return ((fr.numerator << scale_bits) // fr.denominator) % one
-    raise TypeError(f"cannot interpret {type(gamma).__name__} as gamma")
+    """floor(gamma * 2**scale_bits) mod 2**scale_bits, gamma rounded as a
+    torus shift (``as_shift``)."""
+    if isinstance(gamma, FixedPoint) and gamma.scale_bits > scale_bits:
+        raise PrecisionError("gamma carries more precision than the sweep scale")
+    g = as_shift(gamma, scale_bits)
+    return ((g.numerator << scale_bits) // g.denominator) % (1 << scale_bits)
 
 
 def check_precision_range(Q: int, scale_bits: int) -> None:
@@ -129,31 +125,30 @@ def chi_term(psi: ApproxFunction, Q: int) -> Fraction:
 
 
 class CountTable:
-    """psi(q) for 1 <= q <= max(qs), evaluated once for a whole count run.
+    """psi(q) for 1 <= q <= max(qs), evaluated once for a whole count run
+    by ``psi_table`` as integers num[q] over one denominator td, the lcm of
+    the psi denominators (a power of two for the power laws, about
+    lcm(1..Q) for 1/q).
 
-    ``thresholds[q]`` = floor(psi(q) * 2**scale_bits) are the kernel's shell
-    thresholds, the values of ``psi_mantissas``.  ``terms[Q]`` for each Q of
-    ``qs`` is (psi_exact, psi_paper, chi), the values of ``main_term`` in
-    both modes and of ``chi_term``: 16*sum q*psi, that plus 8*sum psi, and
-    8*sum sigma(q)*psi.  The three prefix sums run as integers over one
-    denominator, the lcm of the psi denominators (a power of two for the
-    power laws, about lcm(1..Q) for 1/q), and are kept only at the Q of
-    ``qs``: a sum per q would hold O(Q**2) bits for 1/q.
+    ``thresholds[q]`` = floor(psi(q) * 2**scale_bits) = (num[q] <<
+    scale_bits) // td are the kernel's shell thresholds, the values of
+    ``psi_mantissas``.  ``terms[Q]`` for each Q of ``qs`` is (psi_exact,
+    psi_paper, chi), the values of ``main_term`` in both modes and of
+    ``chi_term``: 16*sum q*psi, that plus 8*sum psi, and 8*sum sigma(q)*psi.
+    The three prefix sums run as integers over td and are kept only at the
+    Q of ``qs``: a sum per q would hold O(Q**2) bits for 1/q.
     """
 
     def __init__(self, psi: ApproxFunction, qs: list[int],
                  scale_bits: int) -> None:
         q_max = max(qs)
-        vals = [eval_psi(psi, q) for q in range(1, q_max + 1)]
-        self.thresholds = [0] + [(v.numerator << scale_bits) // v.denominator
-                                 for v in vals]
-        td = math.lcm(*(v.denominator for v in vals))
+        nums, td = psi_table(psi, q_max)
+        self.thresholds = [(n << scale_bits) // td for n in nums]
         sigma = divisor_sums(q_max)
         wanted = set(qs)
         s_q = s_1 = s_sigma = 0
         self.terms: dict[int, tuple[Fraction, Fraction, Fraction]] = {}
-        for q, v in enumerate(vals, 1):
-            num = v.numerator * (td // v.denominator)
+        for q, num in enumerate(nums[1:], 1):
             s_q += q * num
             s_1 += num
             s_sigma += sigma[q] * num

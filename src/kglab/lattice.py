@@ -46,17 +46,12 @@ class LatticeVector:
         return (p1, p2), 1
 
     def order_key(self) -> tuple[int, int, int]:
+        """Total order on Z^2 minus 0: (norm, q1, q2) lexicographically,
+        so a smaller norm always sorts first."""
         return (self.norm, self.q1, self.q2)
 
     def __iter__(self):
         return iter((self.q1, self.q2))
-
-
-def order_key(v: LatticeVector | tuple[int, int]) -> tuple[int, int, int]:
-    """Total order on Z^2 minus 0: (norm, q1, q2) lexicographically.
-    Smaller norm always sorts first."""
-    q1, q2 = v
-    return (max(abs(q1), abs(q2)), q1, q2)
 
 
 def shell(n: int) -> list[LatticeVector]:

@@ -12,7 +12,7 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 log = logging.getLogger(__name__)
 
@@ -119,7 +119,9 @@ class TablePsi(ApproxFunction):
         return self.values.get(q, Fraction(0))
 
     def describe(self) -> str:
-        items = ",".join(f"{q}:{v}" for q, v in sorted(self.values.items()))
+        if not self.values:
+            return "const:0"
+        items = ",".join(f"{q}={v}" for q, v in sorted(self.values.items()))
         return f"table:{items}"
 
 
@@ -170,13 +172,19 @@ def eval_psi(psi: ApproxFunction, q: int) -> Fraction:
     return v
 
 
+def psi_table(psi: ApproxFunction, q_max: int) -> tuple[list[int], int]:
+    """(num, td): psi(q) = num[q]/td for q = 1..q_max, one ``eval_psi``
+    per q, with td the lcm of the psi denominators (a power of two for the
+    power laws, about lcm(1..q_max) for 1/q) and num[0] = 0."""
+    vals = [eval_psi(psi, q) for q in range(1, q_max + 1)]
+    td = lcm(*(v.denominator for v in vals))
+    return [0] + [v.numerator * (td // v.denominator) for v in vals], td
+
+
 def psi_mantissas(psi: ApproxFunction, q_max: int, scale_bits: int) -> list[int]:
     """floor(psi(q) * 2**scale_bits) for q = 0..q_max (index 0 unused)."""
-    out = [0] * (q_max + 1)
-    for q in range(1, q_max + 1):
-        v = eval_psi(psi, q)
-        out[q] = (v.numerator << scale_bits) // v.denominator
-    return out
+    num, td = psi_table(psi, q_max)
+    return [(n << scale_bits) // td for n in num]
 
 
 def unwrap_power_law(psi: ApproxFunction) -> PowerLaw | None:

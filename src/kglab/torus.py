@@ -34,11 +34,9 @@ from math import gcd, lcm
 
 from .fixedpoint import DEFAULT_SCALE_BITS, FixedPoint
 from .lattice import LatticeVector
-from .psifunc import ApproxFunction, eval_psi
+from .psifunc import HALF, ApproxFunction, eval_psi
 from .surd import QuadraticSurd
 from .witness import NonLiouvilleWitness, vanish_threshold
-
-HALF = Fraction(1, 2)
 
 
 def as_shift(x, scale_bits: int = DEFAULT_SCALE_BITS) -> Fraction:

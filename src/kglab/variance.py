@@ -11,16 +11,16 @@ An order window is the same sum over its whole shells plus the vectors of
 its two end shells, so both go through one core, ``_variance``.
 
 Overlaps have one representation, integers over one denominator.  With
-the shift sn/sd, every psi(n) an integer over td (the lcm of the psi
-denominators) and L = lcm(1..Q), each pair overlap and each product of
-measures is an integer over L*sd*td**2 (the measure fields are over td).
-Every class needs its pair at both relative signs: ``_PairEngine.pair``
-gives both from one ``overlap_1d_num`` call, each over
-lcm(d, e)*sd*td**2.  The variance loops scale each by L // lcm(d, e) where
-they sum it, count ``n_overlap_evals`` from their own bounds and build each
-report field as one Fraction at the end.  The sweep takes each overlap as
-``pair`` gives it and compares it with its Lemma 3 bound (an integer over
-d*td**2) by cross-multiplication.
+the shift sn/sd, every psi(n) an integer over td, the lcm of the psi
+denominators (``psi_table``), and L = lcm(1..Q), each pair overlap and each
+product of measures is an integer over L*sd*td**2 (the measure fields are
+over td).  Every class needs its pair at both relative signs: one
+``overlap_1d_num`` call gives both, each over lcm(d, e)*sd*td**2.  The
+variance loops scale each by L // lcm(d, e) where they sum it, count
+``n_overlap_evals`` from their own bounds and build each report field as
+one Fraction at the end.  The sweep takes each overlap as the kernel gives
+it and compares it with its Lemma 3 bound (an integer over d*td**2) by
+cross-multiplication.
 Its one decision loop, ``sweep_classes``, yields these numerators and
 denominators per class and builds one Fraction, the largest overlap/bound
 ratio.  Two consumers format them: ``vanishing_bound_sweep`` as
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .fixedpoint import DEFAULT_SCALE_BITS
 from .lattice import LatticeVector, phi, shell, shell_size
-from .psifunc import ApproxFunction, eval_psi
+from .psifunc import ApproxFunction, eval_psi, psi_table
 from .torus import (as_shift, lemma3_bound, lemma3_bound_num, overlap_1d_num,
                     overlap_2d)
 from .witness import NonLiouvilleWitness, vanish_threshold
@@ -93,53 +93,47 @@ class VarianceReport:
 
 
 class _PairEngine:
-    """Shared 1-D overlap evaluation for parallel multiplier pairs, in
-    integers over one denominator.
+    """The shared data of the 1-D overlaps of parallel multiplier pairs,
+    in integers over one denominator.
 
     The shift is sn/sd, hoisted once.  psi(n) for n <= q_max is the
-    integer ``psi_num[n]`` over one common denominator ``td``, the lcm of
-    the psi denominators: a power of two for the power laws, about
-    lcm(1..q_max) for 1/q.  ``pair`` is one ``overlap_1d_num`` call: the
-    integer overlap of multipliers d, e at both relative signs, each over
-    lcm(d, e)*sd*td**2.  The sweep compares these as they are; a variance
-    report's callers scale each by L // lcm(d, e) to ``den`` = L*sd*td**2,
-    with L = lcm(1..q_max), the one denominator of the report's sums.  A
-    product of measures 2*psi(m) * 2*psi(n) is
-    4*psi_num[m]*psi_num[n]*``unit`` over ``den``, with ``unit`` = L*sd.
+    integer ``psi_num[n]`` over one common denominator ``td``, from
+    ``psi_table``.  The overlap of multipliers d, e along a direction of
+    norm p (the value depends only on the norms) is one
+    ``overlap_1d_num(d, psi_num[d*p], e, psi_num[e*p], td, sn, sn, sd)``
+    call, both relative signs over lcm(d, e)*sd*td**2.  The sweep compares
+    these as they are; a variance report's loops scale each by
+    L // lcm(d, e) to ``den`` = L*sd*td**2, with L = lcm(1..q_max), the one
+    denominator of the report's sums.  A product of measures
+    2*psi(m) * 2*psi(n) is 4*psi_num[m]*psi_num[n]*``unit`` over ``den``,
+    with ``unit`` = L*sd.
     """
 
     def __init__(self, psi: ApproxFunction, gamma, scale_bits: int,
                  q_max: int) -> None:
         shift = as_shift(gamma, scale_bits)
         self.sn, self.sd = shift.numerator, shift.denominator
-        vals = [Fraction(0)] + [eval_psi(psi, n) for n in range(1, q_max + 1)]
-        self.td = lcm(*(v.denominator for v in vals))
-        self.psi_num = [v.numerator * (self.td // v.denominator) for v in vals]
+        self.psi_num, self.td = psi_table(psi, q_max)
         self.L = lcm(*range(1, q_max + 1))
         self.unit = self.L * self.sd
         self.den = self.unit * self.td ** 2
         self.scale_bits = scale_bits
-
-    def pair(self, np_: int, d: int, e: int) -> tuple[int, int]:
-        """Same-sign and opposite-sign overlap of multipliers d, e along any
-        direction of norm np_ (the value depends only on the norms), each
-        over lcm(d, e)*sd*td**2."""
-        sn = self.sn
-        return overlap_1d_num(d, self.psi_num[d * np_], e,
-                              self.psi_num[e * np_], self.td, sn, sn, self.sd)
 
 
 def _class_sums(engine: _PairEngine, np_: int, d_lo: int, d_hi: int) -> int:
     """Overlap sum minus product sum, over ``engine.den``, of all ordered
     signed multiplier pairs of one direction class with multipliers in
     [d_lo, d_hi]."""
-    pair, L = engine.pair, engine.L
+    psi_num, td, sn, sd, L = (engine.psi_num, engine.td, engine.sn,
+                              engine.sd, engine.L)
     ov = 0
     psi_sum = 0
     for d in range(d_lo, d_hi + 1):
-        psi_sum += engine.psi_num[d * np_]
+        pd = psi_num[d * np_]
+        psi_sum += pd
         for e in range(d_lo, d + 1):
-            same, opp = pair(np_, d, e)
+            same, opp = overlap_1d_num(d, pd, e, psi_num[e * np_], td,
+                                       sn, sn, sd)
             both = (same + opp) * (L // lcm(d, e))
             ov += 2 * both if d == e else 4 * both
     # the class's measure sum is 4*psi_sum/td (two signs, measure 2*psi)
@@ -165,7 +159,8 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
         # multipliers d with n_lo <= d*np_ <= n_hi
         return -(-n_lo // np_), n_hi // np_
 
-    psi_num, unit, pair, L = engine.psi_num, engine.unit, engine.pair, engine.L
+    psi_num, td, sn, sd = engine.psi_num, engine.td, engine.sn, engine.sd
+    unit, L = engine.unit, engine.L
 
     # whole x whole, grouped by direction class
     variance = 0
@@ -185,28 +180,31 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
         np_ = max(abs(pb[0]), abs(pb[1]))
         d_lo, d_hi = d_range(np_)
         whole = range(d_lo, d_hi + 1)
+        pb_num = psi_num[b.norm]
         cross = 0
         psi_sum = 0
         for e in whole:
-            same, opp = pair(np_, b.g, e)
+            pe = psi_num[e * np_]
+            same, opp = overlap_1d_num(b.g, pb_num, e, pe, td, sn, sn, sd)
             cross += (same + opp) * (L // lcm(b.g, e))
-            psi_sum += psi_num[e * np_]
+            psi_sum += pe
         evals += 2 * len(whole)
         # lambda_b * (both signs of e) = 2*psi_b * 2 * 2*psi_e
-        variance += 2 * (cross - 8 * unit * psi_num[b.norm] * psi_sum)
+        variance += 2 * (cross - 8 * unit * pb_num * psi_sum)
 
     # boundary x boundary (all ordered pairs, including b with itself)
     for pb, members in by_dir.items():
         np_ = max(abs(pb[0]), abs(pb[1]))
         evals += len(members) ** 2
         for d1, s1 in members:
+            p1 = psi_num[d1 * np_]
             for d2, s2 in members:
-                same, opp = pair(np_, d1, d2)
+                p2 = psi_num[d2 * np_]
+                same, opp = overlap_1d_num(d1, p1, d2, p2, td, sn, sn, sd)
                 ov = (same if s1 == s2 else opp) * (L // lcm(d1, d2))
-                variance += ov - 4 * unit * psi_num[d1 * np_] * psi_num[d2 * np_]
+                variance += ov - 4 * unit * p1 * p2
 
     # measure sum, diagonal and max measure over td: (norm, vectors of that norm)
-    td = engine.td
     sum_psi = 0
     diagonal = 0       # over td**2
     max_psi = 0
@@ -322,7 +320,7 @@ def sweep_classes(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
     if not w.analytic and w.q_max < Q:
         raise ValueError(f"witness certified only up to {w.q_max} < Q={Q}")
     engine = _PairEngine(psi, gamma, scale_bits, Q)
-    psi_num, td, sd = engine.psi_num, engine.td, engine.sd
+    psi_num, td, sn, sd = engine.psi_num, engine.td, engine.sn, engine.sd
     td2 = td * td
     tally = {"zero-confirmed": 0, "bound-satisfied": 0, "VIOLATION": 0}
     best_num, best_den = 0, 1     # max ov/bound so far, as a pair
@@ -337,7 +335,8 @@ def sweep_classes(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
                 # ov = raw/(l*sd*td**2) with l = lcm(d, e) and bound =
                 # bnum/(d*td**2), so ov <= bound  <=>  raw*d <= bnum*l*sd
                 l_sd = lcm(d, e) * sd
-                same, opp = engine.pair(np_, d, e)
+                same, opp = overlap_1d_num(d, pn, e, psi_num[r_norm], td,
+                                           sn, sn, sd)
                 if r_norm > thr:
                     bnum = None
                     s_same = "zero-confirmed" if same == 0 else "VIOLATION"

@@ -25,8 +25,10 @@ from kglab.variance import vanishing_bound_sweep
 from kglab.witness import NonLiouvilleWitness, fit_witness
 
 
-# the shell thresholds of the default psi (pow:1,3/4) at Q = 20, scale 192,
-# as cmd_count passes them to _count_trial
+# the default gamma (sqrt:2), parsed, and the shell thresholds of the
+# default psi (pow:1,3/4) at Q = 20, scale 192, as cmd_count passes them
+# to _count_trial
+SQRT2 = QuadraticSurd.sqrt(2)
 THRESHOLDS_20 = psi_mantissas(PowerLaw(1, Fraction(3, 4)), 20, 192)
 
 
@@ -198,7 +200,7 @@ class TestCount:
         meta = json.loads(full.decode().split("\r\n")[0][2:])
         from kglab.cli import _count_trial
 
-        trial0 = _count_trial(("sqrt:2", THRESHOLDS_20, 20, 192, 1, 0))
+        trial0 = _count_trial((SQRT2, THRESHOLDS_20, 20, 192, 1, 0))
         with open(ckpt, "w") as fh:
             fh.write(json.dumps({"config_hash": meta["config_hash"]}) + "\n")
             fh.write(json.dumps({"trial": 0, "counts": trial0[1]}) + "\n")
@@ -219,7 +221,7 @@ class TestCount:
         meta = json.loads(full.decode().split("\r\n")[0][2:])
         from kglab.cli import _count_trial
 
-        trial0 = _count_trial(("sqrt:2", THRESHOLDS_20, 20, 192, 2, 0))[1]
+        trial0 = _count_trial((SQRT2, THRESHOLDS_20, 20, 192, 2, 0))[1]
         if damage == "truncated-tail":
             # a run killed mid-write: the last record is cut short
             lines = [{"config_hash": meta["config_hash"]},

@@ -15,7 +15,7 @@ from kglab.lattice import divisors, phi, tau
 from kglab.psifunc import (Clamp, PowerLaw, TablePsi, Window, eval_psi,
                            psi_mantissas)
 from kglab.rng import RngStream
-from kglab.surd import QuadraticSurd
+from kglab.surd import QuadraticSurd, surd_eval
 
 SQRT2 = QuadraticSurd.sqrt(2)
 PSI_HALF = PowerLaw(F(1, 2), F(0))
@@ -186,6 +186,22 @@ def test_precision_range_rejected():
     a = alpha_for(0, 64)
     with pytest.raises(PrecisionError):
         count_solutions(a, 10 ** 6, SQRT2, PSI_34, 64)
+
+
+@pytest.mark.parametrize("s", [66, 192, 256])
+def test_gamma_mantissa_is_the_floor_of_gamma(s):
+    # surds as surd_eval floors them; exact values by the defining
+    # inequality m/2**s <= frac(gamma) < (m+1)/2**s
+    for g in (SQRT2, QuadraticSurd(-5, -3, 7, 11)):
+        assert counting._gamma_mantissa(g, s) == surd_eval(g, 1, s).mantissa
+    for g in (F(3, 7), F(-22, 7), 0, 5, FixedPoint(-(3 << 60) + 7, 64)):
+        v = g.to_fraction() if isinstance(g, FixedPoint) else F(g)
+        frac = v - (v.numerator // v.denominator)
+        m = counting._gamma_mantissa(g, s)
+        assert 0 <= m < 1 << s
+        assert F(m, 1 << s) <= frac < F(m + 1, 1 << s)
+    with pytest.raises(PrecisionError):
+        counting._gamma_mantissa(FixedPoint(1, s + 1), s)
 
 
 def test_main_term_modes():

@@ -3,11 +3,11 @@ from math import gcd
 
 import pytest
 
-from kglab.lattice import (count_gcd_shell, divisor_phi_pairs, divisors,
-                           factorize, gcd_power_sum, gcd_power_sum_naive,
-                           gcd_power_sum_sweep, gcd_shell_bound_ok, order_key,
-                           phi, primitive_shell_count, primorials, shell,
-                           shell_size, tau)
+from kglab.lattice import (LatticeVector, count_gcd_shell, divisor_phi_pairs,
+                           divisors, factorize, gcd_power_sum,
+                           gcd_power_sum_naive, gcd_power_sum_sweep,
+                           gcd_shell_bound_ok, phi, primitive_shell_count,
+                           primorials, shell, shell_size, tau)
 
 
 def brute_shell(n):
@@ -21,10 +21,12 @@ def brute_shell(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
 def test_shell_matches_bruteforce(n):
-    got = [(v.q1, v.q2) for v in shell(n)]
+    vecs = shell(n)
+    got = [(v.q1, v.q2) for v in vecs]
     assert sorted(got) == sorted(brute_shell(n))
     assert len(got) == shell_size(n) == 8 * n
-    assert got == sorted(got, key=order_key)  # emitted in total order
+    # emitted in total order
+    assert vecs == sorted(vecs, key=LatticeVector.order_key)
 
 
 def test_shell_closed_form_up_to_200():
@@ -36,7 +38,7 @@ def test_total_order_separates_shells():
     for n in range(1, 30):
         last = shell(n)[-1]
         first = shell(n + 1)[0]
-        assert order_key(last) < order_key(first)
+        assert last.order_key() < first.order_key()
 
 
 def test_count_gcd_shell_formula_vs_enumeration():

@@ -1,12 +1,15 @@
 import logging
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
+from kglab.cli import parse_psi
+from kglab.counting import CountTable
 from kglab.psifunc import (Clamp, PowerLaw, TablePsi, Window, eval_psi,
                            hausdorff_exponent, hausdorff_partial_sum,
-                           integer_nth_root, psi_mantissas)
+                           integer_nth_root, psi_mantissas, psi_table)
 
 HALF = Fraction(1, 2)
 
@@ -165,3 +168,50 @@ def test_psi_mantissas():
     psi = PowerLaw(Fraction(1, 4), Fraction(0))
     m = psi_mantissas(psi, 3, 64)
     assert m[1] == m[2] == m[3] == 1 << 62
+
+
+# one psi of each kind; a table with zeros, the empty table, and
+# pow:1,3/4, which is capped at 1/2 at q = 1
+KINDS = {
+    "pow": PowerLaw(Fraction(1, 4), Fraction(2, 3)),
+    "pow-capped": PowerLaw(Fraction(1), Fraction(3, 4)),
+    "half-over-q": PowerLaw(HALF, Fraction(1)),
+    "const": PowerLaw(Fraction(1, 3), Fraction(0)),
+    "table": TablePsi({3: Fraction(1, 7), 5: Fraction(0), 9: Fraction(1, 4),
+                       12: Fraction(0), 20: Fraction(1, 9)}),
+    "empty-table": TablePsi({}),
+    "clamp": Clamp(PowerLaw(Fraction(3, 5), Fraction(1, 2))),
+    "window": Window(PowerLaw(Fraction(1, 2), Fraction(1, 3)), 4, 17),
+    "window-clamp": Window(Clamp(PowerLaw(Fraction(1), Fraction(1, 4))),
+                           2, 15),
+}
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_describe_parses_back(name):
+    psi = KINDS[name]
+    back = parse_psi(psi.describe())
+    assert [eval_psi(back, q) for q in range(1, 21)] == \
+        [eval_psi(psi, q) for q in range(1, 21)]
+
+
+def test_table_describe_syntax():
+    assert KINDS["table"].describe() == "table:3=1/7,5=0,9=1/4,12=0,20=1/9"
+    assert TablePsi({}).describe() == "const:0"
+
+
+@pytest.mark.parametrize("name", KINDS)
+def test_psi_table_matches_eval_psi(name):
+    """psi_table against eval_psi, and the shell thresholds built on it
+    (psi_mantissas and CountTable) against the direct floor of each
+    Fraction, at every q."""
+    psi, q_max = KINDS[name], 60
+    num, td = psi_table(psi, q_max)
+    vals = [eval_psi(psi, q) for q in range(1, q_max + 1)]
+    assert len(num) == q_max + 1 and num[0] == 0
+    assert td == lcm(*(v.denominator for v in vals))
+    assert [Fraction(n, td) for n in num[1:]] == vals
+    for s in (64, 100, 192):
+        direct = [0] + [(v.numerator << s) // v.denominator for v in vals]
+        assert psi_mantissas(psi, q_max, s) == direct
+        assert CountTable(psi, [q_max], s).thresholds == direct
