@@ -14,15 +14,18 @@ Counting layers, at --Q (default 2000) with psi = q^-3/4 and gamma = sqrt(2):
 
 Variance layers, at Q // 10 (default 200) with psi = 1/4 q^-1/2 and
 gamma = sqrt(2):
+  engine    ``_PairEngine`` on its own: the psi table and its lift, with
+            the shift, to the engine's one unit lcm(sd, td);
   core      the integer ramp sums ``overlap_1d_num`` per call, on the
-            arguments of every pair class that ``variance_full`` evaluates;
-            one call gives a class at both relative signs;
+            engine's lifted arguments of every pair class that
+            ``variance_full`` evaluates; one call gives a class at both
+            relative signs;
   classes   ``_class_sums`` over every direction class of ``variance_full``
             (core included);
-  report    ``variance_full`` less the classes: the psi table, the class
+  full      the whole ``variance_full``: engine, classes, the class
             weights, the measure sum, diagonal and maximum and the report
-            Fractions; a difference of two timings, so while it is a few ms
-            (Q = 200) it reads within their noise, even below zero;
+            Fractions (a few ms at Q = 200, too little to time as the
+            difference of two best-of timings);
   window    one ``variance_window`` from norm 20 to norm 79, both end
             shells cut;
   sweep     ``vanishing_bound_sweep`` with its rows and without
@@ -191,9 +194,11 @@ def sweep_cli_peak_rss_mib(Q: int) -> float:
 def variance_layers(Q: int, repeats: int, peak_rss: float,
                     ) -> tuple[dict, list[str]]:
     """(timings, oracle mismatches) of the variance path at Q."""
-    eng = _PairEngine(VAR_PSI, GAMMA, SCALE, Q)
-    args = [(d, eng.psi_num[d * np_], e, eng.psi_num[e * np_], eng.td,
-             eng.sn, eng.sn, eng.sd)
+    out = {}
+    out["engine_s"], eng = best_of(
+        repeats, lambda: _PairEngine(VAR_PSI, GAMMA, SCALE, Q))
+    print(f" engine: Q = {Q}: {out['engine_s']:8.5f} s")
+    args = [(d, eng.rho[d * np_], e, eng.rho[e * np_], eng.a, eng.a, eng.u)
             for np_ in range(1, Q + 1) for d in range(1, Q // np_ + 1)
             for e in range(1, d + 1)]
 
@@ -203,7 +208,7 @@ def variance_layers(Q: int, repeats: int, peak_rss: float,
         for a in args:
             overlap_1d_num(*a)
 
-    out = {"pairs": len(args)}
+    out["pairs"] = len(args)
     out["core_pair_us"] = 1e6 * best_of(repeats, run_core)[0] / len(args)
     print(f"   core: {out['pairs']} pair classes: "
           f"{out['core_pair_us']:6.2f} us/call")
@@ -211,12 +216,11 @@ def variance_layers(Q: int, repeats: int, peak_rss: float,
         repeats, lambda: variance_full(Q, VAR_PSI, GAMMA))
     out["class_sums_s"], _ = best_of(repeats, lambda: [
         _class_sums(eng, np_, 1, Q // np_) for np_ in range(1, Q + 1)])
-    out["report_s"] = out["variance_full_s"] - out["class_sums_s"]
     out["window_s"], _ = best_of(
         repeats, lambda: variance_window(*WINDOW, VAR_PSI, GAMMA))
     print(f"classes: Q = {Q}: {out['class_sums_s']:8.3f} s")
-    print(f" report: Q = {Q}: {out['report_s']:8.3f} s   "
-          f"(variance_full {out['variance_full_s']:.3f} s)")
+    print(f"   full: Q = {Q}: {out['variance_full_s']:8.3f} s for "
+          f"variance_full")
     (u1, u2), (v1, v2) = WINDOW
     print(f" window: ({u1},{u2})..({v1},{v2}): {out['window_s']:8.3f} s")
 

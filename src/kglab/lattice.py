@@ -54,18 +54,22 @@ class LatticeVector:
         return iter((self.q1, self.q2))
 
 
-def shell(n: int) -> list[LatticeVector]:
-    """All vectors of sup-norm exactly n, in total-order order."""
+def shell_coords(n: int) -> list[tuple[int, int]]:
+    """(q1, q2) of every vector of sup-norm exactly n, in total-order
+    order, without building the vectors."""
     if n < 1:
         raise ValueError("shell index must be >= 1")
-    out = []
-    for q1 in range(-n, n + 1):
-        if abs(q1) == n:
-            out.extend(LatticeVector(q1, q2) for q2 in range(-n, n + 1))
-        else:
-            out.append(LatticeVector(q1, -n))
-            out.append(LatticeVector(q1, n))
+    out = [(-n, q2) for q2 in range(-n, n + 1)]
+    for q1 in range(1 - n, n):
+        out.append((q1, -n))
+        out.append((q1, n))
+    out.extend((n, q2) for q2 in range(-n, n + 1))
     return out
+
+
+def shell(n: int) -> list[LatticeVector]:
+    """All vectors of sup-norm exactly n, in total-order order."""
+    return [LatticeVector(q1, q2) for q1, q2 in shell_coords(n)]
 
 
 def shell_size(n: int) -> int:

@@ -12,9 +12,13 @@ gcd(d, e) arc pairs, and one arc pair overlaps in a trapezoid of four
 ramps.  ``overlap_exact_1d`` sums each ramp over the progression as one
 arithmetic series; the independent check ``overlap_sweep_oracle`` computes
 the same measure by an endpoint sweep instead.  There is one kernel,
-``overlap_1d_num``: integer sums over a denominator the caller knows, so a
-caller that adds or compares many overlaps, as the variance sums and the
-Lemma 3 sweep do, need not build a Fraction for each.  One call gives both
+``overlap_1d_num``: it takes both radii and both shifts as integers over
+one unit u and returns integer sums over lcm(d, e)*u, so a caller that
+adds or compares many overlaps, as the variance sums and the Lemma 3 sweep
+do, need not build a Fraction for each.  Those callers take u = lcm(sd,
+td) for shifts over sd and radii over td, the shortest unit that holds
+both (sd*td would repeat their common factor, 2**scale_bits for a
+power-law psi and a surd shift, in every operand).  One call gives both
 relative signs of the second set's shift, +sigma and -sigma, which every
 parallel pair class needs: the two share the step and the arc radii and
 differ only in where the progression of gaps starts.  ``overlap_exact_1d``
@@ -77,33 +81,36 @@ class TorusSet1D:
         return 2 * self.t
 
 
-def overlap_1d_num(d: int, t1n: int, e: int, t2n: int, td: int,
-                   an: int, bn: int, sd: int) -> tuple[int, int]:
-    """(plus, minus): the overlap of A(d, t1n/td) shifted by an/sd with
-    A(e, t2n/td) shifted by bn/sd, and the same with B's shift at -bn/sd,
-    each over lcm(d, e)*sd*td**2.  No fraction need be in lowest terms, so
-    a caller that holds every radius over one denominator can sum these
-    numerators without normalizing any of them.
+def overlap_1d_num(d: int, t1n: int, e: int, t2n: int, an: int, bn: int,
+                   u: int) -> tuple[int, int]:
+    """(plus, minus): the overlap of A(d, t1n/u) shifted by an/u with
+    A(e, t2n/u) shifted by bn/u, and the same with B's shift at -bn/u,
+    each over lcm(d, e)*u.  Both radii and both shifts are integers over
+    the one unit u, which need not be the least: a caller that holds every
+    radius and shift over one u can sum these numerators without
+    normalizing any of them.  With the radii over td and the shifts over
+    sd, the least such unit is lcm(sd, td); it drops the factor gcd(sd, td)
+    that sd*td repeats (2**scale_bits for a power-law psi and a surd
+    shift), which keeps the operands half as long.
 
-    Over CD = d*e*sd*td the gaps between arc centres, lifted to the line,
-    are Y + k*S for every k in Z, each standing for g = gcd(d, e) arc
-    pairs, with S = g*sd*td and Y = (e*an -+ d*bn)*td; both signs share
-    the step and the radii R1 = t1n*e*sd and R2 = t2n*d*sd (t1/d and t2/e
-    over CD).  Two arcs at gap y overlap in the trapezoid
-    w(y) = r(y+A) - r(y+B) - r(y-B) + r(y-A), with A = R1+R2, B = R1-R2 and
-    r = max(0, .).  Summed over the k <= k_hi = (A - Y) // S, where the last
-    ramp vanishes, each remaining ramp r(y + k*S) is one arithmetic series:
-    with y = q*S + rem (0 <= rem < S) its n = k_hi + 1 + q nonnegative
-    terms are rem, rem + S, ..., so it sums to n*rem + S*n*(n-1)/2.  The
-    three series give the overlap over CD/g, times td over the stated
-    denominator.  The sum is exact for every t in [0, 1/2]: t = 0 gives
-    w = 0, and the arcs of A(d, 1/2) tile the circle.
+    Over CD = d*e*u the gaps between arc centres, lifted to the line, are
+    Y + k*S for every k in Z, each standing for g = gcd(d, e) arc pairs,
+    with S = g*u and Y = e*an -+ d*bn; both signs share the step and the
+    radii R1 = t1n*e and R2 = t2n*d (t1/d and t2/e over CD).  Two arcs at
+    gap y overlap in the trapezoid w(y) = r(y+A) - r(y+B) - r(y-B) +
+    r(y-A), with A = R1+R2, B = R1-R2 and r = max(0, .).  Summed over the
+    k <= k_hi = (A - Y) // S, where the last ramp vanishes, each remaining
+    ramp r(y + k*S) is one arithmetic series: with y = q*S + rem
+    (0 <= rem < S) its n = k_hi + 1 + q nonnegative terms are rem,
+    rem + S, ..., so it sums to n*rem + S*n*(n-1)/2.  The three series give
+    the overlap over CD/g = lcm(d, e)*u.  The sum is exact for every t in
+    [0, 1/2]: t = 0 gives w = 0, and the arcs of A(d, 1/2) tile the circle.
     """
-    S = gcd(d, e) * sd * td
-    R1 = t1n * e * sd
-    R2 = t2n * d * sd
+    S = gcd(d, e) * u
+    R1 = t1n * e
+    R2 = t2n * d
     A, B = R1 + R2, R1 - R2
-    ea, db = e * an * td, d * bn * td
+    ea, db = e * an, d * bn
     # one block per sign, not a loop over Y: the loop took 4-11% longer a call
     Y = ea - db
     m = (A - Y) // S + 1
@@ -125,24 +132,24 @@ def overlap_1d_num(d: int, t1n: int, e: int, t2n: int, td: int,
     n3 = m + q
     minus = (n1 * r1 - n2 * r2 - n3 * r3
              + S * ((n1 * (n1 - 1) - n2 * (n2 - 1) - n3 * (n3 - 1)) // 2))
-    return td * plus, td * minus
+    return plus, minus
 
 
 def overlap_exact_1d(A: TorusSet1D, B: TorusSet1D) -> Fraction:
     """lambda_1(A intersect B): the trapezoid overlap of each arc pair,
     summed over the arithmetic progression of arc-centre gaps as a few
     ramp series in closed form (the ``plus`` of ``overlap_1d_num``, with
-    the radii over their common denominator and the shifts over theirs,
+    both radii and both shifts over u, the lcm of their four denominators,
     as one Fraction)."""
-    an, ad = A.shift.numerator, A.shift.denominator
-    bn, bd = B.shift.numerator, B.shift.denominator
-    sd = lcm(ad, bd)
-    t1d, t2d = A.t.denominator, B.t.denominator
-    td = lcm(t1d, t2d)
-    plus, _ = overlap_1d_num(A.d, A.t.numerator * (td // t1d),
-                             B.d, B.t.numerator * (td // t2d), td,
-                             an * (sd // ad), bn * (sd // bd), sd)
-    return Fraction(plus, lcm(A.d, B.d) * sd * td * td)
+    u = lcm(A.t.denominator, B.t.denominator,
+            A.shift.denominator, B.shift.denominator)
+
+    def over_u(x: Fraction) -> int:
+        return x.numerator * (u // x.denominator)
+
+    plus, _ = overlap_1d_num(A.d, over_u(A.t), B.d, over_u(B.t),
+                             over_u(A.shift), over_u(B.shift), u)
+    return Fraction(plus, lcm(A.d, B.d) * u)
 
 
 def overlap_sweep_oracle(A: TorusSet1D, B: TorusSet1D) -> Fraction:

@@ -10,17 +10,18 @@ same multiplier table, so each (n, d, e, sign) overlap is evaluated once.
 An order window is the same sum over its whole shells plus the vectors of
 its two end shells, so both go through one core, ``_variance``.
 
-Overlaps have one representation, integers over one denominator.  With
-the shift sn/sd, every psi(n) an integer over td, the lcm of the psi
-denominators (``psi_table``), and L = lcm(1..Q), each pair overlap and each
-product of measures is an integer over L*sd*td**2 (the measure fields are
-over td).  Every class needs its pair at both relative signs: one
-``overlap_1d_num`` call gives both, each over lcm(d, e)*sd*td**2.  The
-variance loops scale each by L // lcm(d, e) where they sum it, count
-``n_overlap_evals`` from their own bounds and build each report field as
-one Fraction at the end.  The sweep takes each overlap as the kernel gives
-it and compares it with its Lemma 3 bound (an integer over d*td**2) by
-cross-multiplication.
+Overlaps have one representation, integers over one denominator.  The
+shift sn/sd and every psi(n), an integer over td, the lcm of the psi
+denominators (``psi_table``), are lifted once to the one unit
+u = lcm(sd, td).  Every class needs its pair at both relative signs: one
+``overlap_1d_num`` call gives both, each over lcm(d, e)*u.  With
+L = lcm(1..Q), the variance loops scale each by L // lcm(d, e) where they
+sum it, multiply the sum by u once per class or boundary term, so that it
+lies over L*u**2 with the products of measures (the measure fields are
+over u), count ``n_overlap_evals`` from their own bounds and build each
+report field as one Fraction at the end.  The sweep takes each overlap as
+the kernel gives it and compares it with its Lemma 3 bound (an integer
+over d*u**2) by cross-multiplication.
 Its one decision loop, ``sweep_classes``, yields these numerators and
 denominators per class and builds one Fraction, the largest overlap/bound
 ratio.  Two consumers format them: ``vanishing_bound_sweep`` as
@@ -38,7 +39,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .fixedpoint import DEFAULT_SCALE_BITS
-from .lattice import LatticeVector, phi, shell, shell_size
+from .lattice import LatticeVector, phi, shell_coords, shell_size
 from .psifunc import ApproxFunction, eval_psi, psi_table
 from .torus import (as_shift, lemma3_bound, lemma3_bound_num, overlap_1d_num,
                     overlap_2d)
@@ -94,29 +95,32 @@ class VarianceReport:
 
 class _PairEngine:
     """The shared data of the 1-D overlaps of parallel multiplier pairs,
-    in integers over one denominator.
+    in integers over one unit.
 
-    The shift is sn/sd, hoisted once.  psi(n) for n <= q_max is the
-    integer ``psi_num[n]`` over one common denominator ``td``, from
-    ``psi_table``.  The overlap of multipliers d, e along a direction of
-    norm p (the value depends only on the norms) is one
-    ``overlap_1d_num(d, psi_num[d*p], e, psi_num[e*p], td, sn, sn, sd)``
-    call, both relative signs over lcm(d, e)*sd*td**2.  The sweep compares
-    these as they are; a variance report's loops scale each by
-    L // lcm(d, e) to ``den`` = L*sd*td**2, with L = lcm(1..q_max), the one
+    With the shift sn/sd and psi(n) for n <= q_max the integer psi_num[n]
+    over one common denominator td (``psi_table``), both are lifted once to
+    the unit ``u`` = lcm(sd, td): the shift is the integer ``a`` over u and
+    psi(n) is ``rho[n]`` over u.  The overlap of multipliers d, e along a
+    direction of norm p (the value depends only on the norms) is one
+    ``overlap_1d_num(d, rho[d*p], e, rho[e*p], a, a, u)`` call, both
+    relative signs over lcm(d, e)*u.  The sweep compares these as they are;
+    a variance report's loops scale each by L // lcm(d, e), with
+    L = lcm(1..q_max), and their sum by u, to ``den`` = L*u**2, the one
     denominator of the report's sums.  A product of measures
-    2*psi(m) * 2*psi(n) is 4*psi_num[m]*psi_num[n]*``unit`` over ``den``,
-    with ``unit`` = L*sd.
+    2*psi(m) * 2*psi(n) is 4*L*rho[m]*rho[n] over ``den``.
     """
 
     def __init__(self, psi: ApproxFunction, gamma, scale_bits: int,
                  q_max: int) -> None:
         shift = as_shift(gamma, scale_bits)
-        self.sn, self.sd = shift.numerator, shift.denominator
-        self.psi_num, self.td = psi_table(psi, q_max)
+        sd = shift.denominator
+        psi_num, td = psi_table(psi, q_max)
+        self.u = lcm(sd, td)
+        self.a = shift.numerator * (self.u // sd)
+        lift = self.u // td
+        self.rho = [p * lift for p in psi_num]
         self.L = lcm(*range(1, q_max + 1))
-        self.unit = self.L * self.sd
-        self.den = self.unit * self.td ** 2
+        self.den = self.L * self.u ** 2
         self.scale_bits = scale_bits
 
 
@@ -124,20 +128,18 @@ def _class_sums(engine: _PairEngine, np_: int, d_lo: int, d_hi: int) -> int:
     """Overlap sum minus product sum, over ``engine.den``, of all ordered
     signed multiplier pairs of one direction class with multipliers in
     [d_lo, d_hi]."""
-    psi_num, td, sn, sd, L = (engine.psi_num, engine.td, engine.sn,
-                              engine.sd, engine.L)
-    ov = 0
-    psi_sum = 0
+    rho, a, u, L = engine.rho, engine.a, engine.u, engine.L
+    ov = 0          # over L*u
+    rho_sum = 0
     for d in range(d_lo, d_hi + 1):
-        pd = psi_num[d * np_]
-        psi_sum += pd
+        pd = rho[d * np_]
+        rho_sum += pd
         for e in range(d_lo, d + 1):
-            same, opp = overlap_1d_num(d, pd, e, psi_num[e * np_], td,
-                                       sn, sn, sd)
+            same, opp = overlap_1d_num(d, pd, e, rho[e * np_], a, a, u)
             both = (same + opp) * (L // lcm(d, e))
             ov += 2 * both if d == e else 4 * both
-    # the class's measure sum is 4*psi_sum/td (two signs, measure 2*psi)
-    return ov - 16 * engine.unit * psi_sum * psi_sum
+    # the class's measure sum is 4*rho_sum/u (two signs, measure 2*psi)
+    return ov * u - 16 * L * rho_sum * rho_sum
 
 
 def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
@@ -147,7 +149,7 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
 
     Whole shells are grouped by direction class; each boundary vector is
     paired with the whole shells and with every boundary vector.  Every
-    term is an integer over ``engine.den`` (measures over ``engine.td``),
+    term is an integer over ``engine.den`` (measures over ``engine.u``),
     so each report field is one Fraction, built at the end.
 
     ``n_overlap_evals`` counts the signed pair overlaps the sums take, from
@@ -159,8 +161,7 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
         # multipliers d with n_lo <= d*np_ <= n_hi
         return -(-n_lo // np_), n_hi // np_
 
-    psi_num, td, sn, sd = engine.psi_num, engine.td, engine.sn, engine.sd
-    unit, L = engine.unit, engine.L
+    rho, a, u, L = engine.rho, engine.a, engine.u, engine.L
 
     # whole x whole, grouped by direction class
     variance = 0
@@ -180,47 +181,47 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
         np_ = max(abs(pb[0]), abs(pb[1]))
         d_lo, d_hi = d_range(np_)
         whole = range(d_lo, d_hi + 1)
-        pb_num = psi_num[b.norm]
-        cross = 0
-        psi_sum = 0
+        pb = rho[b.norm]
+        cross = 0   # over L*u
+        rho_sum = 0
         for e in whole:
-            pe = psi_num[e * np_]
-            same, opp = overlap_1d_num(b.g, pb_num, e, pe, td, sn, sn, sd)
+            pe = rho[e * np_]
+            same, opp = overlap_1d_num(b.g, pb, e, pe, a, a, u)
             cross += (same + opp) * (L // lcm(b.g, e))
-            psi_sum += pe
+            rho_sum += pe
         evals += 2 * len(whole)
         # lambda_b * (both signs of e) = 2*psi_b * 2 * 2*psi_e
-        variance += 2 * (cross - 8 * unit * pb_num * psi_sum)
+        variance += 2 * (cross * u - 8 * L * pb * rho_sum)
 
     # boundary x boundary (all ordered pairs, including b with itself)
     for pb, members in by_dir.items():
         np_ = max(abs(pb[0]), abs(pb[1]))
         evals += len(members) ** 2
         for d1, s1 in members:
-            p1 = psi_num[d1 * np_]
+            p1 = rho[d1 * np_]
             for d2, s2 in members:
-                p2 = psi_num[d2 * np_]
-                same, opp = overlap_1d_num(d1, p1, d2, p2, td, sn, sn, sd)
+                p2 = rho[d2 * np_]
+                same, opp = overlap_1d_num(d1, p1, d2, p2, a, a, u)
                 ov = (same if s1 == s2 else opp) * (L // lcm(d1, d2))
-                variance += ov - 4 * unit * p1 * p2
+                variance += ov * u - 4 * L * p1 * p2
 
-    # measure sum, diagonal and max measure over td: (norm, vectors of that norm)
-    sum_psi = 0
-    diagonal = 0       # over td**2
-    max_psi = 0
+    # measure sum, diagonal and max measure over u: (norm, vectors of that norm)
+    sum_rho = 0
+    diagonal = 0       # over u**2
+    max_rho = 0
     weighted = [(n, shell_size(n)) for n in range(n_lo, n_hi + 1)]
     for n, k in weighted + [(b.norm, 1) for b in boundary]:
-        p = psi_num[n]
-        sum_psi += k * p
-        diagonal += k * (2 * p * td - 4 * p * p)
-        max_psi = max(max_psi, p)
+        p = rho[n]
+        sum_rho += k * p
+        diagonal += k * (2 * p * u - 4 * p * p)
+        max_rho = max(max_rho, p)
 
     return VarianceReport(
         label=label,
-        sum_measures=Fraction(2 * sum_psi, td),
+        sum_measures=Fraction(2 * sum_rho, u),
         variance=Fraction(variance, engine.den),
-        diagonal=Fraction(diagonal, td * td),
-        max_measure=Fraction(2 * max_psi, td),
+        diagonal=Fraction(diagonal, u * u),
+        max_measure=Fraction(2 * max_rho, u),
         n_overlap_evals=evals,
         shift_error_bound=evals * 2.0 ** (8 - engine.scale_bits),
     )
@@ -250,11 +251,19 @@ def variance_window(u: LatticeVector, v: LatticeVector, psi: ApproxFunction,
     u, v = LatticeVector(*u), LatticeVector(*v)
     if u.order_key() > v.order_key():
         raise ValueError("need u before v in the total order")
-    boundary = [w for n in sorted({u.norm, v.norm}) for w in shell(n)
-                if u.order_key() <= w.order_key() <= v.order_key()]
     return _variance(f"window[{u.q1},{u.q2}..{v.q1},{v.q2}]",
                      _PairEngine(psi, gamma, scale_bits, v.norm),
-                     u.norm + 1, v.norm - 1, boundary)
+                     u.norm + 1, v.norm - 1, window_boundary(u, v))
+
+
+def window_boundary(u: LatticeVector, v: LatticeVector,
+                    ) -> list[LatticeVector]:
+    """The vectors w of the end shells |u| and |v| with u <= w <= v in the
+    total order, in that order.  Each key (n, q1, q2) is compared before
+    its vector is built."""
+    lo, hi = u.order_key(), v.order_key()
+    return [LatticeVector(q1, q2) for n in sorted({u.norm, v.norm})
+            for q1, q2 in shell_coords(n) if lo <= (n, q1, q2) <= hi]
 
 
 def variance_bruteforce(vectors: list[LatticeVector], psi: ApproxFunction,
@@ -311,49 +320,51 @@ def sweep_classes(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
         (d, e, r, q, threshold, bnum, bden, oden,
          same, same_status, opp, opp_status)
 
-    with the bound bnum/bden = bnum/(d*td**2), bnum None beyond the
+    with the bound bnum/bden = bnum/(d*u**2), bnum None beyond the
     threshold, and the same-sign and opposite-sign overlaps same/oden and
-    opp/oden, oden = lcm(d, e)*sd*td**2, neither fraction reduced.  Once
-    the loop is exhausted, ``summary`` holds the tally and the largest
-    overlap/bound ratio.
+    opp/oden, oden = lcm(d, e)*u, neither fraction reduced, where u is the
+    engine's unit lcm(sd, td).  Once the loop is exhausted, ``summary``
+    holds the tally and the largest overlap/bound ratio.
     """
     if not w.analytic and w.q_max < Q:
         raise ValueError(f"witness certified only up to {w.q_max} < Q={Q}")
     engine = _PairEngine(psi, gamma, scale_bits, Q)
-    psi_num, td, sn, sd = engine.psi_num, engine.td, engine.sn, engine.sd
-    td2 = td * td
+    rho, a, u = engine.rho, engine.a, engine.u
+    u2 = u * u
+    # the threshold depends on d alone
+    thresholds = [0, 0] + [vanish_threshold(w, d) for d in range(2, Q + 1)]
     tally = {"zero-confirmed": 0, "bound-satisfied": 0, "VIOLATION": 0}
     best_num, best_den = 0, 1     # max ov/bound so far, as a pair
     for np_ in range(1, Q + 1):
         for d in range(2, Q // np_ + 1):
-            thr = vanish_threshold(w, d)
+            thr = thresholds[d]
             q_norm = d * np_
-            pn = psi_num[q_norm]
-            bden = d * td2
+            pn = rho[q_norm]
+            bden = d * u2
+            du = d * u
             for e in range(1, d):
                 r_norm = e * np_
-                # ov = raw/(l*sd*td**2) with l = lcm(d, e) and bound =
-                # bnum/(d*td**2), so ov <= bound  <=>  raw*d <= bnum*l*sd
-                l_sd = lcm(d, e) * sd
-                same, opp = overlap_1d_num(d, pn, e, psi_num[r_norm], td,
-                                           sn, sn, sd)
+                # ov = raw/(m*u) with m = lcm(d, e) and bound =
+                # bnum/(d*u**2), so ov <= bound  <=>  raw*d*u <= bnum*m
+                m = lcm(d, e)
+                same, opp = overlap_1d_num(d, pn, e, rho[r_norm], a, a, u)
                 if r_norm > thr:
                     bnum = None
                     s_same = "zero-confirmed" if same == 0 else "VIOLATION"
                     s_opp = "zero-confirmed" if opp == 0 else "VIOLATION"
                 else:
-                    bnum = lemma3_bound_num(pn, psi_num[r_norm], td, d, e)
-                    b_scaled = bnum * l_sd
-                    s_same = ("bound-satisfied" if same * d <= b_scaled
+                    bnum = lemma3_bound_num(pn, rho[r_norm], u, d, e)
+                    b_scaled = bnum * m
+                    s_same = ("bound-satisfied" if same * du <= b_scaled
                               else "VIOLATION")
-                    s_opp = ("bound-satisfied" if opp * d <= b_scaled
+                    s_opp = ("bound-satisfied" if opp * du <= b_scaled
                              else "VIOLATION")
-                    n_scaled = max(same, opp) * d
+                    n_scaled = max(same, opp) * du
                     if bnum > 0 and n_scaled * best_den > best_num * b_scaled:
                         best_num, best_den = n_scaled, b_scaled
                 tally[s_same] += 1
                 tally[s_opp] += 1
-                yield (d, e, r_norm, q_norm, thr, bnum, bden, l_sd * td2,
+                yield (d, e, r_norm, q_norm, thr, bnum, bden, m * u,
                        same, s_same, opp, s_opp)
     summary.n_rows = sum(tally.values())
     summary.n_zero_confirmed = tally["zero-confirmed"]

@@ -252,24 +252,30 @@ def test_formula_oracle_property(d, e, n1, n2, s1, s2):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 30), st.one_of(st.none(), st.integers(1, 30)),
        st.integers(0, 10), st.integers(0, 10), SHIFTS,
-       st.one_of(st.none(), SHIFTS), st.integers(1, 6), st.integers(1, 6))
-def test_integer_part_over_unreduced_denominators(d, e, n1, n2, s1, s2, c1,
-                                                  c2):
-    # the variance engine holds both radii over one common denominator and
-    # the shift over its own, none in lowest terms, and takes each pair
-    # class at both relative signs from one call: plus and minus must be
-    # the overlaps with B's shift at +s2 and at -s2.  Ties, t = 0, t = 1/2,
-    # rational and sqrt(2) shifts as in test_formula_oracle_property; d = e
-    # is drawn as e None, and the engine's case s2 = s1 as s2 None
+       st.one_of(st.none(), SHIFTS), st.integers(1, 6), st.integers(2, 6))
+def test_integer_part_over_unreduced_denominators(d, e, n1, n2, s1, s2, c, k):
+    # the variance engine holds both radii and the shift over one unit u,
+    # not in lowest terms, and takes each pair class at both relative signs
+    # from one call: plus and minus must be the overlaps with B's shift at
+    # +s2 and at -s2, over lcm(d, e)*u, and the same sets over k*u must
+    # give the same Fractions.  Ties, t = 0, t = 1/2, rational and sqrt(2)
+    # shifts as in test_formula_oracle_property; d = e is drawn as e None,
+    # and the engine's case s2 = s1 as s2 None
     e = d if e is None else e
     s2 = s1 if s2 is None else s2
     t1, t2 = F(n1, 20), F(n2, 20)
-    td = 20 * c1
-    sd = lcm(s1.denominator, s2.denominator) * c2
-    plus, minus = overlap_1d_num(d, n1 * c1, e, n2 * c1, td,
-                                 s1.numerator * (sd // s1.denominator),
-                                 s2.numerator * (sd // s2.denominator), sd)
-    den = lcm(d, e) * sd * td * td
+    u = lcm(20, s1.denominator, s2.denominator) * c
+
+    def over(unit):
+        plus, minus = overlap_1d_num(
+            d, n1 * (unit // 20), e, n2 * (unit // 20),
+            s1.numerator * (unit // s1.denominator),
+            s2.numerator * (unit // s2.denominator), unit)
+        den = lcm(d, e) * unit
+        return F(plus, den), F(minus, den)
+
+    plus, minus = over(u)
     A = TorusSet1D(d, s1, t1)
-    assert F(plus, den) == overlap_sweep_oracle(A, TorusSet1D(e, s2, t2))
-    assert F(minus, den) == overlap_sweep_oracle(A, TorusSet1D(e, -s2, t2))
+    assert plus == overlap_sweep_oracle(A, TorusSet1D(e, s2, t2))
+    assert minus == overlap_sweep_oracle(A, TorusSet1D(e, -s2, t2))
+    assert over(k * u) == (plus, minus)

@@ -13,7 +13,7 @@ from kglab.torus import (TorusSet1D, as_shift, lemma3_bound, measure_2d,
                          overlap_2d, overlap_sweep_oracle)
 from kglab.variance import (SweepSummary, highdim_bound_check,
                             vanishing_bound_sweep, variance_bruteforce,
-                            variance_full, variance_window)
+                            variance_full, variance_window, window_boundary)
 from kglab.witness import NonLiouvilleWitness, fit_witness, vanish_threshold
 
 SQRT2 = QuadraticSurd.sqrt(2)
@@ -100,6 +100,25 @@ def test_windows_random_match_bruteforce():
         window = all_vecs[i:j + 1]
         rep = variance_window(u, v, PSI_ROOT, SQRT2)
         assert rep.variance == variance_bruteforce(window, PSI_ROOT, SQRT2)
+
+
+def test_window_boundary_matches_shell_filter():
+    # the end-shell vectors of a window, keys compared before any vector is
+    # built, against the filter of whole shells by order_key; random
+    # windows, u = v, and u and v on the same shell
+    rng = random.Random(20)
+    all_vecs = [w for n in range(1, 41) for w in shell(n)]
+    pairs = [sorted(rng.sample(range(len(all_vecs)), 2)) for _ in range(40)]
+    pairs += [[i, i] for i in rng.sample(range(len(all_vecs)), 10)]
+    for n in (1, 2, 17, 40):
+        start = sum(8 * m for m in range(1, n))
+        pairs.append([start, start + 8 * n - 1])
+        pairs.append(sorted(rng.sample(range(start, start + 8 * n), 2)))
+    for i, j in pairs:
+        u, v = all_vecs[i], all_vecs[j]
+        want = [w for n in sorted({u.norm, v.norm}) for w in shell(n)
+                if u.order_key() <= w.order_key() <= v.order_key()]
+        assert window_boundary(u, v) == want
 
 
 def test_window_rejects_reversed():
@@ -324,7 +343,7 @@ def test_sweep_zero_psi_ties():
 # statuses occur: SHA-256 of repr(([tuple(row) ...], summary)), the rows'
 # field order being d, e, r, q, threshold, overlap, bound, status, rel.
 # Recorded when each row overlap was still built over L*sd*td**2 with
-# L = lcm(1..Q); now it is built over lcm(d, e)*sd*td**2.
+# L = lcm(1..Q); now it is built over lcm(d, e)*u with u = lcm(sd, td).
 PSI_16 = PowerLaw(F(1, 16), F(1, 2))
 SWEEP_RECORDED = {
     "sqrt2": (SQRT2, F(12, 17),
