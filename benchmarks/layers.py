@@ -17,14 +17,14 @@ gamma = sqrt(2):
   engine    ``_PairEngine`` on its own: the psi table and its lift, with
             the shift, to the engine's one unit lcm(sd, td);
   core      the integer ramp sums ``overlap_1d_num`` per call, on the
-            engine's lifted arguments of every pair class that
-            ``variance_full`` evaluates; one call gives a class at both
+            engine's lifted arguments of every norm pair that
+            ``variance_full`` evaluates; one call gives a pair at both
             relative signs;
-  classes   ``_class_sums`` over every direction class of ``variance_full``
-            (core included);
-  full      the whole ``variance_full``: engine, classes, the class
-            weights, the measure sum, diagonal and maximum and the report
-            Fractions (a few ms at Q = 200, too little to time as the
+  pairs     ``_pair_sum`` over the whole-shell norm pairs of
+            ``variance_full`` (core included);
+  full      the whole ``variance_full``: engine, norm pairs, the
+            evaluation count, the measure sum, diagonal and maximum and the
+            report Fractions (a few ms at Q = 200, too little to time as the
             difference of two best-of timings);
   window    one ``variance_window`` from norm 20 to norm 79, both end
             shells cut;
@@ -66,6 +66,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import kglab
@@ -78,10 +79,10 @@ from kglab.rng import RngStream
 from kglab.surd import QuadraticSurd, surd_eval
 from kglab.torus import (TorusSet1D, as_shift, lemma3_bound, overlap_1d_num,
                          overlap_sweep_oracle)
-from kglab.variance import (SweepSummary, _class_sums, _PairEngine,
-                            sweep_classes, vanishing_bound_sweep,
-                            variance_bruteforce, variance_full,
-                            variance_window)
+from kglab.variance import (SweepSummary, _PairEngine, _pair_sum,
+                            _whole_pairs, sweep_classes,
+                            vanishing_bound_sweep, variance_bruteforce,
+                            variance_full, variance_window)
 from kglab.witness import NonLiouvilleWitness, fit_witness
 
 SCALE = 192
@@ -198,27 +199,27 @@ def variance_layers(Q: int, repeats: int, peak_rss: float,
     out["engine_s"], eng = best_of(
         repeats, lambda: _PairEngine(VAR_PSI, GAMMA, SCALE, Q))
     print(f" engine: Q = {Q}: {out['engine_s']:8.5f} s")
-    args = [(d, eng.rho[d * np_], e, eng.rho[e * np_], eng.a, eng.a, eng.u)
-            for np_ in range(1, Q + 1) for d in range(1, Q // np_ + 1)
-            for e in range(1, d + 1)]
+    support = [n for n in range(1, Q + 1) if eng.rho[n]]
+    args = [(m // g, eng.rho[m], n // g, eng.rho[n], eng.a, eng.a, eng.u)
+            for m, n, _, _ in _whole_pairs(support) for g in [gcd(m, n)]]
 
     def run_core() -> None:
-        # each result is dropped, as the class sums drop it: a list of
+        # each result is dropped, as the pair sum drops it: a list of
         # result tuples would be rescanned by the cyclic garbage collector
         for a in args:
             overlap_1d_num(*a)
 
     out["pairs"] = len(args)
     out["core_pair_us"] = 1e6 * best_of(repeats, run_core)[0] / len(args)
-    print(f"   core: {out['pairs']} pair classes: "
+    print(f"   core: {out['pairs']} norm pairs: "
           f"{out['core_pair_us']:6.2f} us/call")
     out["variance_full_s"], _ = best_of(
         repeats, lambda: variance_full(Q, VAR_PSI, GAMMA))
-    out["class_sums_s"], _ = best_of(repeats, lambda: [
-        _class_sums(eng, np_, 1, Q // np_) for np_ in range(1, Q + 1)])
+    out["norm_pairs_s"], _ = best_of(
+        repeats, lambda: _pair_sum(eng, _whole_pairs(support)))
     out["window_s"], _ = best_of(
         repeats, lambda: variance_window(*WINDOW, VAR_PSI, GAMMA))
-    print(f"classes: Q = {Q}: {out['class_sums_s']:8.3f} s")
+    print(f"  pairs: Q = {Q}: {out['norm_pairs_s']:8.3f} s")
     print(f"   full: Q = {Q}: {out['variance_full_s']:8.3f} s for "
           f"variance_full")
     (u1, u2), (v1, v2) = WINDOW

@@ -84,23 +84,32 @@ def count_python(m1: int, m2: int, mg: int, scale_bits: int,
                  thresholds: list[int], Q: int) -> np.ndarray:
     """Per-shell counts by walking each sup-norm shell's perimeter, as an
     int64 array: ``perfbench/checks.py`` sums a slice of it with
-    ``.sum()``.  numpy is imported here, off the kernel's import path."""
+    ``.sum()``.  numpy is imported here, off the kernel's import path.
+
+    Each row q1 = +-n and column q2 = +-n is walked from its first vector,
+    v = q1*m1 + q2*m2 - mg mod 2**scale_bits, by adding m2 (along a row) or
+    m1 (along a column) mod 2**scale_bits per vector."""
     import numpy as np
 
     one = 1 << scale_bits
+    mask = one - 1       # x & mask is x mod one
     m1, m2, mg = m1 % one, m2 % one, mg % one
     out = np.zeros(Q + 1, dtype=np.int64)
 
-    def contrib(q1: int, q2: int, thr: int) -> int:
-        v = (q1 * m1 + q2 * m2 - mg) % one
-        return (v <= thr) + (one - v <= thr)
+    def walk(v: int, step: int, k: int, thr: int) -> int:
+        # vectors v, v + step, ..., k of them, all mod one
+        c = 0
+        for _ in range(k):
+            c += (v <= thr) + (one - v <= thr)
+            v = (v + step) & mask
+        return c
 
     for n in range(1, Q + 1):
         thr = thresholds[n]
-        c = 0
-        for q2 in range(-n, n + 1):
-            c += contrib(n, q2, thr) + contrib(-n, q2, thr)
-        for q1 in range(-n + 1, n):
-            c += contrib(q1, n, thr) + contrib(q1, -n, thr)
-        out[n] = c
+        out[n] = (walk((n * m1 - n * m2 - mg) % one, m2, 2 * n + 1, thr)
+                  + walk((-n * m1 - n * m2 - mg) % one, m2, 2 * n + 1, thr)
+                  + walk(((1 - n) * m1 + n * m2 - mg) % one, m1, 2 * n - 1,
+                         thr)
+                  + walk(((1 - n) * m1 - n * m2 - mg) % one, m1, 2 * n - 1,
+                         thr))
     return out

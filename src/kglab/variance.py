@@ -4,24 +4,32 @@ bound shape.
 
 For the full range |q|, |r| <= Q the non-parallel pairs contribute their
 product of measures exactly, so the variance reduces to a sum over
-parallel pairs of (overlap - product).  Parallel pairs are grouped by
-primitive direction; all 4*phi(n) direction classes of norm n share the
-same multiplier table, so each (n, d, e, sign) overlap is evaluated once.
-An order window is the same sum over its whole shells plus the vectors of
-its two end shells, so both go through one core, ``_variance``.
+parallel pairs of (overlap - product).  A parallel pair q = d*v, r = e*v
+(v primitive of norm p) reduces to the 1-D overlap of A(d, psi(dp)) with
+A(e, psi(ep)), and that overlap depends only on the two norms m = dp and
+n = ep: A(k*d, t; s) is the preimage of A(d, t; s) under the
+Haar-preserving map x -> k*x, so with G = gcd(m, n) the pair's overlap is
+that of multipliers m/G and n/G.  The variance is therefore one weighted
+sum over unordered norm pairs, one kernel call each, ``_pair_sum``.
+Whole shells weigh a pair by its number of direction classes,
+sum_{p | G} 4*phi(p) = 4*G: 16*G ordered pairs per relative sign for
+m > n, and 8*m on the diagonal.  An order window adds its two end shells'
+vectors (the boundary), whose pairs with the whole shells and with each
+other are counted per norm pair too.  A pair at which psi is 0 has overlap
+and product both 0 and is skipped.
 
 Overlaps have one representation, integers over one denominator.  The
 shift sn/sd and every psi(n), an integer over td, the lcm of the psi
 denominators (``psi_table``), are lifted once to the one unit
-u = lcm(sd, td).  Every class needs its pair at both relative signs: one
-``overlap_1d_num`` call gives both, each over lcm(d, e)*u.  With
-L = lcm(1..Q), the variance loops scale each by L // lcm(d, e) where they
-sum it, multiply the sum by u once per class or boundary term, so that it
-lies over L*u**2 with the products of measures (the measure fields are
-over u), count ``n_overlap_evals`` from their own bounds and build each
-report field as one Fraction at the end.  The sweep takes each overlap as
-the kernel gives it and compares it with its Lemma 3 bound (an integer
-over d*u**2) by cross-multiplication.
+u = lcm(sd, td).  One ``overlap_1d_num`` call gives a pair at both
+relative signs, each over (m/G)*(n/G)*u.  With L = lcm(1..Q), the
+variance sum scales each by L // ((m/G)*(n/G)) and multiplies the total
+by u once, so that it lies over L*u**2 with the products of measures (the
+measure fields are over u); ``n_overlap_evals`` counts the signed pair
+overlaps from the direction-class bounds, and each report field is built
+as one Fraction at the end.  The sweep takes each overlap as the kernel
+gives it and compares it with its Lemma 3 bound (an integer over d*u**2)
+by cross-multiplication.
 Its one decision loop, ``sweep_classes``, yields these numerators and
 denominators per class and builds one Fraction, the largest overlap/bound
 ratio.  Two consumers format them: ``vanishing_bound_sweep`` as
@@ -32,14 +40,15 @@ gcd runs on the odd parts of numerator and denominator.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .fixedpoint import DEFAULT_SCALE_BITS
-from .lattice import LatticeVector, phi, shell_coords, shell_size
+from .lattice import LatticeVector, shell_coords, shell_size
 from .psifunc import ApproxFunction, eval_psi, psi_table
 from .torus import (as_shift, lemma3_bound, lemma3_bound_num, overlap_1d_num,
                     overlap_2d)
@@ -101,13 +110,14 @@ class _PairEngine:
     over one common denominator td (``psi_table``), both are lifted once to
     the unit ``u`` = lcm(sd, td): the shift is the integer ``a`` over u and
     psi(n) is ``rho[n]`` over u.  The overlap of multipliers d, e along a
-    direction of norm p (the value depends only on the norms) is one
-    ``overlap_1d_num(d, rho[d*p], e, rho[e*p], a, a, u)`` call, both
-    relative signs over lcm(d, e)*u.  The sweep compares these as they are;
-    a variance report's loops scale each by L // lcm(d, e), with
-    L = lcm(1..q_max), and their sum by u, to ``den`` = L*u**2, the one
-    denominator of the report's sums.  A product of measures
-    2*psi(m) * 2*psi(n) is 4*L*rho[m]*rho[n] over ``den``.
+    direction of norm p is one ``overlap_1d_num(d, rho[d*p], e, rho[e*p],
+    a, a, u)`` call, both relative signs over lcm(d, e)*u.  The sweep
+    compares these as they are, per class.  The value depends only on the
+    norms m = d*p and n = e*p, so the variance makes one call per norm
+    pair, at multipliers m/G and n/G with G = gcd(m, n), scales each by
+    L // ((m/G)*(n/G)), with L = lcm(1..q_max), and the sum by u, to
+    ``den`` = L*u**2, the one denominator of the report's sums.  A product
+    of measures 2*psi(m) * 2*psi(n) is 4*L*rho[m]*rho[n] over ``den``.
     """
 
     def __init__(self, psi: ApproxFunction, gamma, scale_bits: int,
@@ -124,22 +134,41 @@ class _PairEngine:
         self.scale_bits = scale_bits
 
 
-def _class_sums(engine: _PairEngine, np_: int, d_lo: int, d_hi: int) -> int:
-    """Overlap sum minus product sum, over ``engine.den``, of all ordered
-    signed multiplier pairs of one direction class with multipliers in
-    [d_lo, d_hi]."""
+def _pair_sum(engine: _PairEngine,
+              pairs: Iterable[tuple[int, int, int, int]]) -> int:
+    """Overlap sum minus product sum, over ``engine.den``, of the ordered
+    parallel vector pairs given by norm pairs.
+
+    ``pairs`` yields (m, n, c_same, c_opp): two norms, in either order, with
+    psi nonzero at both, and the numbers of ordered parallel vector pairs
+    of those norms (both orders counted) at the same and at the opposite
+    relative sign.  Such a pair's overlap depends on (m, n) alone, so one
+    ``overlap_1d_num`` call gives both signs: with G = gcd(m, n) it is that
+    of multipliers m/G and n/G, over (m/G)*(n/G)*u.
+    """
     rho, a, u, L = engine.rho, engine.a, engine.u, engine.L
     ov = 0          # over L*u
-    rho_sum = 0
-    for d in range(d_lo, d_hi + 1):
-        pd = rho[d * np_]
-        rho_sum += pd
-        for e in range(d_lo, d + 1):
-            same, opp = overlap_1d_num(d, pd, e, rho[e * np_], a, a, u)
-            both = (same + opp) * (L // lcm(d, e))
-            ov += 2 * both if d == e else 4 * both
-    # the class's measure sum is 4*rho_sum/u (two signs, measure 2*psi)
-    return ov * u - 16 * L * rho_sum * rho_sum
+    prod = 0        # sum of counted rho[m]*rho[n]
+    for m, n, c_same, c_opp in pairs:
+        pm, pn = rho[m], rho[n]
+        g = gcd(m, n)
+        m, n = m // g, n // g
+        same, opp = overlap_1d_num(m, pm, n, pn, a, a, u)
+        ov += (c_same * same + c_opp * opp) * (L // (m * n))
+        prod += (c_same + c_opp) * pm * pn
+    # a product of measures 2*psi(m) * 2*psi(n) is 4*L*rho[m]*rho[n] over den
+    return ov * u - 4 * L * prod
+
+
+def _whole_pairs(support: list[int]) -> Iterator[tuple[int, int, int, int]]:
+    """The norm pairs m >= n of whole shells in ``support``: 4*G direction
+    classes (G = gcd(m, n)) hold both norms, each class 4 ordered pairs
+    per sign for m > n and 2 for m = n."""
+    for i, m in enumerate(support):
+        for n in support[:i]:
+            w = 16 * gcd(m, n)
+            yield m, n, w, w
+        yield m, m, 8 * m, 8 * m
 
 
 def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
@@ -147,65 +176,65 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
     """Exact variance of the indicator sum over the whole shells n_lo..n_hi
     plus the explicit ``boundary`` vectors (which lie outside those shells).
 
-    Whole shells are grouped by direction class; each boundary vector is
-    paired with the whole shells and with every boundary vector.  Every
-    term is an integer over ``engine.den`` (measures over ``engine.u``),
-    so each report field is one Fraction, built at the end.
+    Every parallel pair enters as a weight on its pair of norms, summed by
+    ``_pair_sum`` over the norms where psi is nonzero:
+      * whole x whole: sum_{p | G} 4*phi(p) = 4*G direction classes carry
+        norms m, n with G = gcd(m, n);
+      * boundary x whole: a boundary vector of direction norm p pairs with
+        the two vectors of each whole norm n that p divides, once per sign;
+      * boundary x boundary: the ordered pairs within each direction, by
+        the norms of their members and their relative sign.
+    Every term is an integer over ``engine.den`` (measures over
+    ``engine.u``), so each report field is one Fraction, built at the end.
 
-    ``n_overlap_evals`` counts the signed pair overlaps the sums take, from
-    the loop bounds: m(m+1) per whole direction class with m multipliers in
-    range, 2m per boundary vector against the m whole multipliers of its
-    direction, and k**2 per k boundary vectors of one direction.
+    ``n_overlap_evals`` counts the signed pair overlaps the sums stand for,
+    from the class bounds: m(m+1) per whole direction class with m
+    multipliers in range, 2m per boundary vector against the m whole
+    multipliers of its direction, and k**2 per k boundary vectors of one
+    direction.
     """
-    def d_range(np_: int) -> tuple[int, int]:
-        # multipliers d with n_lo <= d*np_ <= n_hi
-        return -(-n_lo // np_), n_hi // np_
+    def multiples(p: int) -> int:
+        # multipliers d with n_lo <= d*p <= n_hi
+        return max(0, n_hi // p - (n_lo - 1) // p)
 
-    rho, a, u, L = engine.rho, engine.a, engine.u, engine.L
+    rho = engine.rho
+    support = [n for n in range(n_lo, n_hi + 1) if rho[n]]
+    evals = sum(m * (m + 1) for m in map(multiples, range(1, n_hi + 1)))
 
-    # whole x whole, grouped by direction class
-    variance = 0
-    evals = 0
-    for np_ in range(1, n_hi + 1):
-        d_lo, d_hi = d_range(np_)
-        if d_lo <= d_hi:
-            variance += 4 * phi(np_) * _class_sums(engine, np_, d_lo, d_hi)
-            m = d_hi - d_lo + 1
-            evals += m * (m + 1)
-
-    # boundary x whole (ordered pairs, hence factor 2)
+    # the boundary by canonical direction, and per end-shell norm the
+    # number of its vectors of each direction norm
     by_dir: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for b in boundary:
         pb, sb = b.canonical_direction()
-        by_dir.setdefault(pb, []).append((b.g, sb))
-        np_ = max(abs(pb[0]), abs(pb[1]))
-        d_lo, d_hi = d_range(np_)
-        whole = range(d_lo, d_hi + 1)
-        pb = rho[b.norm]
-        cross = 0   # over L*u
-        rho_sum = 0
-        for e in whole:
-            pe = rho[e * np_]
-            same, opp = overlap_1d_num(b.g, pb, e, pe, a, a, u)
-            cross += (same + opp) * (L // lcm(b.g, e))
-            rho_sum += pe
-        evals += 2 * len(whole)
-        # lambda_b * (both signs of e) = 2*psi_b * 2 * 2*psi_e
-        variance += 2 * (cross * u - 8 * L * pb * rho_sum)
-
-    # boundary x boundary (all ordered pairs, including b with itself)
+        by_dir.setdefault(pb, []).append((b.norm, sb))
+    dir_norms: dict[int, dict[int, int]] = {}
+    inner: dict[tuple[int, int], list[int]] = {}   # (m, n) -> [same, opp]
     for pb, members in by_dir.items():
-        np_ = max(abs(pb[0]), abs(pb[1]))
-        evals += len(members) ** 2
-        for d1, s1 in members:
-            p1 = rho[d1 * np_]
-            for d2, s2 in members:
-                p2 = rho[d2 * np_]
-                same, opp = overlap_1d_num(d1, p1, d2, p2, a, a, u)
-                ov = (same if s1 == s2 else opp) * (L // lcm(d1, d2))
-                variance += ov * u - 4 * L * p1 * p2
+        p = max(abs(pb[0]), abs(pb[1]))
+        evals += len(members) * (len(members) + 2 * multiples(p))
+        for m1, s1 in members:
+            counts = dir_norms.setdefault(m1, {})
+            counts[p] = counts.get(p, 0) + 1
+            for m2, s2 in members:
+                inner.setdefault((max(m1, m2), min(m1, m2)),
+                                 [0, 0])[s1 != s2] += 1
+
+    def boundary_pairs() -> Iterator[tuple[int, int, int, int]]:
+        for m, counts in dir_norms.items():
+            if rho[m]:
+                for n in support:
+                    w = 2 * sum(k for p, k in counts.items() if n % p == 0)
+                    if w:
+                        yield m, n, w, w
+        for (m, n), (c_same, c_opp) in inner.items():
+            if rho[m] and rho[n]:
+                yield m, n, c_same, c_opp
+
+    variance = _pair_sum(engine, chain(_whole_pairs(support),
+                                       boundary_pairs()))
 
     # measure sum, diagonal and max measure over u: (norm, vectors of that norm)
+    u = engine.u
     sum_rho = 0
     diagonal = 0       # over u**2
     max_rho = 0

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 COUNT_KEYS = {"table_s", "psi_s", "rest_s", "kernel_s", "report_s"}
 VARIANCE_KEYS = {"engine_s", "pairs", "core_pair_us", "variance_full_s",
-                 "class_sums_s", "window_s", "sweep_rows_s", "sweep_no_rows_s",
+                 "norm_pairs_s", "window_s", "sweep_rows_s", "sweep_no_rows_s",
                  "sweep_cells", "sweep_cells_s", "sweep_cli_s",
                  "sweep_cli_peak_rss_mib"}
 PROVENANCE_KEYS = {"git_revision", "python", "cpu_count", "peak_rss_mib"}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,7 +12,7 @@ from kglab.counting import (CountReport, CountTable, chi_term,
                             count_by_shell, count_solutions, main_term,
                             make_report, normalized_error)
 from kglab.fixedpoint import FixedPoint, PrecisionError
-from kglab.lattice import divisors, phi, tau
+from kglab.lattice import divisors, phi, shell_coords, tau
 from kglab.psifunc import (Clamp, PowerLaw, TablePsi, Window, eval_psi,
                            psi_mantissas)
 from kglab.rng import RngStream
@@ -131,6 +132,25 @@ def raw_sweeps(draw):
 @given(raw_sweeps())
 def test_kernel_matches_oracle_raw(args):
     assert np.array_equal(count_by_shell_raw(*args), count_python(*args))
+
+
+@pytest.mark.parametrize("s", [64, 192])
+def test_shell_walk_matches_per_vector(s):
+    # count_python steps along each row and column; here every vector of
+    # every shell is reduced on its own, gamma = 0, thresholds 0 and M/2
+    M = 1 << s
+    rng = random.Random(s)
+    Q = 12
+    for m1, m2 in [(0, 0), (M // 2, M // 4), (M - 1, 1),
+                   (rng.randrange(M), rng.randrange(M))]:
+        for thresholds in ([0] * (Q + 1), [0] + [M // 2] * Q,
+                           [0] + [rng.choice([0, M // 2, rng.randrange(M)])
+                                  for _ in range(Q)]):
+            want = [0] + [sum((v <= thresholds[n]) + (M - v <= thresholds[n])
+                              for v in ((q1 * m1 + q2 * m2) % M
+                                        for q1, q2 in shell_coords(n)))
+                          for n in range(1, Q + 1)]
+            assert list(count_python(m1, m2, 0, s, thresholds, Q)) == want
 
 
 def test_incremental_shells_match_recount():

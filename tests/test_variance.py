@@ -6,12 +6,14 @@ from math import gcd
 
 import pytest
 
+from kglab import variance
+from kglab.fixedpoint import DEFAULT_SCALE_BITS
 from kglab.lattice import LatticeVector, shell
 from kglab.psifunc import PowerLaw, TablePsi, eval_psi
 from kglab.surd import QuadraticSurd
 from kglab.torus import (TorusSet1D, as_shift, lemma3_bound, measure_2d,
-                         overlap_2d, overlap_sweep_oracle)
-from kglab.variance import (SweepSummary, highdim_bound_check,
+                         overlap_1d_num, overlap_2d, overlap_sweep_oracle)
+from kglab.variance import (SweepSummary, _PairEngine, highdim_bound_check,
                             vanishing_bound_sweep, variance_bruteforce,
                             variance_full, variance_window, window_boundary)
 from kglab.witness import NonLiouvilleWitness, fit_witness, vanish_threshold
@@ -215,17 +217,28 @@ def test_golden_reports(name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# Differential test of the integer class sums against the all-pairs oracle,
-# over psi with dyadic, lcm(1..Q) and small odd denominators, zeros and the
-# full circle, and over irrational, rational, zero and half shifts.
+# Differential test of the integer norm-pair sums against the all-pairs
+# oracle, over psi with dyadic, lcm(1..Q) and small odd denominators, zeros
+# and the full circle, and over irrational, rational, zero and half shifts.
+# Every parallel pair enters by the norms of its two vectors, so windows
+# whose end shells hold +- multiples of one direction (g > 1) and whole
+# shells that hold others are the cases where a weight could be miscounted.
 DIFF_PSIS = {
     "inv": PowerLaw(F(1, 2), F(1)),  # 1/(2q): denominators up to lcm(1..Q)
     "half": PSI_HALF,
     "table": TablePsi({1: F(1, 3), 2: F(2, 5), 3: F(0), 4: F(1, 7),
                        5: F(3, 7), 6: F(2, 15)}),  # zeros, 3/5/7 denominators
+    "sparse": TablePsi({3: F(1, 7), 4: F(0), 6: F(1, 2), 9: F(1, 4)}),
     "root": PSI_ROOT,
 }
 DIFF_GAMMAS = {"sqrt2": SQRT2, "3/7": F(3, 7), "0": F(0), "1/2": F(1, 2)}
+DIFF_WINDOWS = [
+    (L(2, -3), L(2, -3)),      # u = v
+    (L(-5, 2), L(5, -1)),      # u and v on one shell
+    # (2,4), (-2,-4) on shell 4 and (3,6), (-3,-6) on shell 6; (4,4) and
+    # (-6,-6) on the end shells with (+-5,+-5) whole between them
+    (L(-2, -4), L(3, 6)),
+]
 
 
 def check_against_bruteforce(rep, vectors, psi, gamma):
@@ -241,7 +254,7 @@ def check_against_bruteforce(rep, vectors, psi, gamma):
 def test_integer_sums_match_bruteforce(psi, gamma):
     rng = random.Random(f"{psi} {gamma}")  # other windows per case
     psi, gamma = DIFF_PSIS[psi], DIFF_GAMMAS[gamma]
-    for Q in (1, 2, 3):
+    for Q in (1, 2, 3, 5):
         vectors = [v for n in range(1, Q + 1) for v in shell(n)]
         check_against_bruteforce(variance_full(Q, psi, gamma), vectors, psi,
                                  gamma)
@@ -251,6 +264,26 @@ def test_integer_sums_match_bruteforce(psi, gamma):
         check_against_bruteforce(variance_window(all_vecs[i], all_vecs[j], psi,
                                                  gamma),
                                  all_vecs[i:j + 1], psi, gamma)
+    for u, v in DIFF_WINDOWS:
+        check_against_bruteforce(variance_window(u, v, psi, gamma),
+                                 window_vectors(u, v), psi, gamma)
+
+
+def window_vectors(u, v):
+    return [w for n in range(u.norm, v.norm + 1) for w in shell(n)
+            if u.order_key() <= w.order_key() <= v.order_key()]
+
+
+@pytest.mark.parametrize("gamma", ["0", "sqrt2"])
+@pytest.mark.parametrize("psi", ["sparse", "root"])
+def test_norm_pair_sums_far_end_shells(psi, gamma):
+    # (4,6), (-4,-6) on shell 6 and (-6,-9) on shell 9, whole shells 7 and 8
+    # between them (psi 0 there for the sparse table); 178 vectors, so
+    # fewer cases
+    psi, gamma = DIFF_PSIS[psi], DIFF_GAMMAS[gamma]
+    u, v = L(-4, -6), L(-6, 9)
+    check_against_bruteforce(variance_window(u, v, psi, gamma),
+                             window_vectors(u, v), psi, gamma)
 
 
 @pytest.mark.parametrize("Q", [1, 6, 25, 64])
@@ -262,6 +295,41 @@ def test_every_pair_evaluated(Q, w_sqrt2):
     assert rep.n_overlap_evals == sum(m * (m + 1) for m in ms)
     rows, summary = vanishing_bound_sweep(Q, PSI_ROOT, w_sqrt2, SQRT2)
     assert len(rows) == summary.n_rows == sum(m * (m - 1) for m in ms)
+
+
+@pytest.mark.parametrize("psi", [
+    TablePsi({2: F(1, 3), 3: F(1, 7), 4: F(0), 6: F(1, 2), 9: F(1, 4),
+              10: F(2, 9)}),
+    PowerLaw(F(1, 4), F(1, 2)),
+])
+def test_one_kernel_call_per_norm_pair(psi, monkeypatch):
+    # variance_full calls the kernel once per unordered pair of norms with
+    # psi nonzero at both, at multipliers m/G and n/G, and never for a norm
+    # where psi is 0; psi differs between norms, so rho names the norm
+    Q = 12
+    rho = _PairEngine(psi, SQRT2, DEFAULT_SCALE_BITS, Q).rho
+    norm_of = {rho[n]: n for n in range(1, Q + 1) if rho[n]}
+    assert len(norm_of) == sum(1 for n in range(1, Q + 1) if rho[n])
+    calls = []
+
+    def kernel(d, t1n, e, t2n, an, bn, u):
+        calls.append((d, t1n, e, t2n))
+        return overlap_1d_num(d, t1n, e, t2n, an, bn, u)
+
+    monkeypatch.setattr(variance, "overlap_1d_num", kernel)
+    variance_full(Q, psi, SQRT2)
+    pairs = []
+    for d, t1n, e, t2n in calls:
+        m, n = norm_of[t1n], norm_of[t2n]
+        assert (d, e) == (m // gcd(m, n), n // gcd(m, n))
+        pairs.append((max(m, n), min(m, n)))
+    support = sorted(norm_of.values())
+    assert sorted(pairs) == sorted((m, n) for m in support for n in support
+                                   if n <= m)
+    # a window whose lower end shell has psi 0 for the table
+    calls.clear()
+    variance_window(L(-4, 1), L(3, -9), psi, SQRT2)
+    assert calls and all(t1n and t2n for _, t1n, _, t2n in calls)
 
 
 # Differential test of the sweep's integer rows against Fraction oracles.
