@@ -14,15 +14,14 @@ Counting layers, at --Q (default 2000) with psi = q^-3/4 and gamma = sqrt(2):
 
 Variance layers, at Q // 10 (default 200) with psi = 1/4 q^-1/2 and
 gamma = sqrt(2):
-  engine    ``_PairEngine`` on its own: the psi table and its lift, with
-            the shift, to the engine's one unit lcm(sd, td);
+  engine    ``_lift`` on its own: the psi table and its lift, with the
+            shift, to the one unit lcm(sd, td);
   core      the integer ramp sums ``overlap_1d_num`` per call, on the
-            engine's lifted arguments of every norm pair that
-            ``variance_full`` evaluates; one call gives a pair at both
-            relative signs;
+            lifted arguments of every norm pair that ``variance_full``
+            evaluates; one call gives a pair at both relative signs;
   pairs     ``_pair_sum`` over the whole-shell norm pairs of
-            ``variance_full`` (core included);
-  full      the whole ``variance_full``: engine, norm pairs, the
+            ``variance_full``, with L = lcm(1..Q) (core included);
+  full      the whole ``variance_full``: lift, norm pairs, the
             evaluation count, the measure sum, diagonal and maximum and the
             report Fractions (a few ms at Q = 200, too little to time as the
             difference of two best-of timings);
@@ -66,7 +65,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import kglab
@@ -79,8 +78,8 @@ from kglab.rng import RngStream
 from kglab.surd import QuadraticSurd, surd_eval
 from kglab.torus import (TorusSet1D, as_shift, lemma3_bound, overlap_1d_num,
                          overlap_sweep_oracle)
-from kglab.variance import (SweepSummary, _PairEngine, _pair_sum,
-                            _whole_pairs, sweep_classes,
+from kglab.variance import (SweepSummary, _lift, _pair_sum, _whole_pairs,
+                            sweep_classes,
                             vanishing_bound_sweep, variance_bruteforce,
                             variance_full, variance_window)
 from kglab.witness import NonLiouvilleWitness, fit_witness
@@ -196,11 +195,11 @@ def variance_layers(Q: int, repeats: int, peak_rss: float,
                     ) -> tuple[dict, list[str]]:
     """(timings, oracle mismatches) of the variance path at Q."""
     out = {}
-    out["engine_s"], eng = best_of(
-        repeats, lambda: _PairEngine(VAR_PSI, GAMMA, SCALE, Q))
+    out["engine_s"], (rho, a, u) = best_of(
+        repeats, lambda: _lift(VAR_PSI, GAMMA, SCALE, Q))
     print(f" engine: Q = {Q}: {out['engine_s']:8.5f} s")
-    support = [n for n in range(1, Q + 1) if eng.rho[n]]
-    args = [(m // g, eng.rho[m], n // g, eng.rho[n], eng.a, eng.a, eng.u)
+    support = [n for n in range(1, Q + 1) if rho[n]]
+    args = [(m // g, rho[m], n // g, rho[n], a, a, u)
             for m, n, _, _ in _whole_pairs(support) for g in [gcd(m, n)]]
 
     def run_core() -> None:
@@ -215,8 +214,9 @@ def variance_layers(Q: int, repeats: int, peak_rss: float,
           f"{out['core_pair_us']:6.2f} us/call")
     out["variance_full_s"], _ = best_of(
         repeats, lambda: variance_full(Q, VAR_PSI, GAMMA))
+    L = lcm(*range(1, Q + 1))
     out["norm_pairs_s"], _ = best_of(
-        repeats, lambda: _pair_sum(eng, _whole_pairs(support)))
+        repeats, lambda: _pair_sum(rho, a, u, L, _whole_pairs(support)))
     out["window_s"], _ = best_of(
         repeats, lambda: variance_window(*WINDOW, VAR_PSI, GAMMA))
     print(f"  pairs: Q = {Q}: {out['norm_pairs_s']:8.3f} s")

@@ -17,7 +17,7 @@ from math import gcd
 
 @dataclass(frozen=True)
 class LatticeVector:
-    """Nonzero integer vector with sup-norm / gcd / primitive-part structure."""
+    """Nonzero integer vector with its sup-norm and gcd."""
 
     q1: int
     q2: int
@@ -34,17 +34,6 @@ class LatticeVector:
     def g(self) -> int:
         return gcd(abs(self.q1), abs(self.q2))
 
-    @cached_property
-    def primitive(self) -> tuple[int, int]:
-        return (self.q1 // self.g, self.q2 // self.g)
-
-    def canonical_direction(self) -> tuple[tuple[int, int], int]:
-        """(P, s) with primitive part = s*P and P lexicographically positive."""
-        p1, p2 = self.primitive
-        if p1 < 0 or (p1 == 0 and p2 < 0):
-            return (-p1, -p2), -1
-        return (p1, p2), 1
-
     def order_key(self) -> tuple[int, int, int]:
         """Total order on Z^2 minus 0: (norm, q1, q2) lexicographically,
         so a smaller norm always sorts first."""
@@ -52,6 +41,17 @@ class LatticeVector:
 
     def __iter__(self):
         return iter((self.q1, self.q2))
+
+
+def canonical(q1: int, q2: int) -> tuple[int, tuple[int, int], int]:
+    """(g, P, s) with (q1, q2) = s*g*P for a nonzero vector: g = gcd(q1, q2),
+    P primitive and lexicographically positive, s = +-1.  Parallel vectors
+    share P, and v and -v differ only in s."""
+    g = gcd(q1, q2)
+    p1, p2 = q1 // g, q2 // g
+    if p1 < 0 or (p1 == 0 and p2 < 0):
+        return g, (-p1, -p2), -1
+    return g, (p1, p2), 1
 
 
 def shell_coords(n: int) -> list[tuple[int, int]]:

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .fixedpoint import DEFAULT_SCALE_BITS, FixedPoint
-from .lattice import LatticeVector
+from .lattice import LatticeVector, canonical
 from .psifunc import HALF, ApproxFunction, eval_psi
 from .surd import QuadraticSurd
 from .witness import NonLiouvilleWitness, vanish_threshold
@@ -213,21 +213,6 @@ def measure_2d(q_vec, psi: ApproxFunction) -> Fraction:
     return 2 * eval_psi(psi, v.norm)
 
 
-def reduce_parallel_pair(q_vec, r_vec, psi: ApproxFunction, gamma,
-                         scale_bits: int = DEFAULT_SCALE_BITS,
-                         ) -> tuple[TorusSet1D, TorusSet1D]:
-    """1-D sets whose overlap equals lambda_2(A_q intersect A_r) for
-    parallel q = s1*d*P, r = s2*e*P (P primitive): A(d, psi(|q|)) with
-    shift s1*gamma and A(e, psi(|r|)) with shift s2*gamma."""
-    q, r = _as_vec(q_vec), _as_vec(r_vec)
-    _, s1 = q.canonical_direction()
-    _, s2 = r.canonical_direction()
-    shift = as_shift(gamma, scale_bits)
-    A = TorusSet1D(q.g, s1 * shift, eval_psi(psi, q.norm))
-    B = TorusSet1D(r.g, s2 * shift, eval_psi(psi, r.norm))
-    return A, B
-
-
 def is_parallel(q_vec, r_vec) -> bool:
     q, r = _as_vec(q_vec), _as_vec(r_vec)
     return q.q1 * r.q2 - q.q2 * r.q1 == 0
@@ -238,14 +223,18 @@ def overlap_2d(q_vec, r_vec, psi: ApproxFunction, gamma,
     """lambda_2(A_q intersect A_r) with a provenance tag.
 
     Non-parallel pairs factor exactly into the product of measures;
-    parallel pairs reduce to the 1-D overlap along the primitive direction
-    (both sign combinations handled exactly via two independent shifts).
+    parallel pairs q = s1*d*P, r = s2*e*P (``canonical``) reduce to the 1-D
+    overlap along P of A(d, psi(|q|)) shifted by s1*gamma with
+    A(e, psi(|r|)) shifted by s2*gamma.
     """
     q, r = _as_vec(q_vec), _as_vec(r_vec)
     if not is_parallel(q, r):
         return measure_2d(q, psi) * measure_2d(r, psi), "independent"
-    A, B = reduce_parallel_pair(q, r, psi, gamma, scale_bits)
-    value = overlap_exact_1d(A, B)
+    d, _, s1 = canonical(q.q1, q.q2)
+    e, _, s2 = canonical(r.q1, r.q2)
+    shift = as_shift(gamma, scale_bits)
+    value = overlap_exact_1d(TorusSet1D(d, s1 * shift, eval_psi(psi, q.norm)),
+                             TorusSet1D(e, s2 * shift, eval_psi(psi, r.norm)))
     diag = (q.q1, q.q2) in ((r.q1, r.q2), (-r.q1, -r.q2))
     return value, "diagonal" if diag else "parallel-reduced"
 

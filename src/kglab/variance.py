@@ -14,15 +14,16 @@ sum over unordered norm pairs, one kernel call each, ``_pair_sum``.
 Whole shells weigh a pair by its number of direction classes,
 sum_{p | G} 4*phi(p) = 4*G: 16*G ordered pairs per relative sign for
 m > n, and 8*m on the diagonal.  An order window adds its two end shells'
-vectors (the boundary), whose pairs with the whole shells and with each
-other are counted per norm pair too.  A pair at which psi is 0 has overlap
-and product both 0 and is skipped.
+vectors (the boundary) as coordinates (q1, q2); each enters by the norm,
+direction and sign that ``lattice.canonical`` gives it, and its pairs
+with the whole shells and with each other are counted per norm pair too.
+A pair at which psi is 0 has overlap and product both 0 and is skipped.
 
 Overlaps have one representation, integers over one denominator.  The
 shift sn/sd and every psi(n), an integer over td, the lcm of the psi
 denominators (``psi_table``), are lifted once to the one unit
-u = lcm(sd, td).  One ``overlap_1d_num`` call gives a pair at both
-relative signs, each over (m/G)*(n/G)*u.  With L = lcm(1..Q), the
+u = lcm(sd, td) by ``_lift``.  One ``overlap_1d_num`` call gives a pair
+at both relative signs, each over (m/G)*(n/G)*u.  With L = lcm(1..Q), the
 variance sum scales each by L // ((m/G)*(n/G)) and multiplies the total
 by u once, so that it lies over L*u**2 with the products of measures (the
 measure fields are over u); ``n_overlap_evals`` counts the signed pair
@@ -48,7 +49,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .fixedpoint import DEFAULT_SCALE_BITS
-from .lattice import LatticeVector, shell_coords, shell_size
+from .lattice import LatticeVector, canonical, shell_coords, shell_size
 from .psifunc import ApproxFunction, eval_psi, psi_table
 from .torus import (as_shift, lemma3_bound, lemma3_bound_num, overlap_1d_num,
                     overlap_2d)
@@ -102,42 +103,27 @@ class VarianceReport:
         }
 
 
-class _PairEngine:
-    """The shared data of the 1-D overlaps of parallel multiplier pairs,
-    in integers over one unit.
-
-    With the shift sn/sd and psi(n) for n <= q_max the integer psi_num[n]
-    over one common denominator td (``psi_table``), both are lifted once to
-    the unit ``u`` = lcm(sd, td): the shift is the integer ``a`` over u and
-    psi(n) is ``rho[n]`` over u.  The overlap of multipliers d, e along a
-    direction of norm p is one ``overlap_1d_num(d, rho[d*p], e, rho[e*p],
-    a, a, u)`` call, both relative signs over lcm(d, e)*u.  The sweep
-    compares these as they are, per class.  The value depends only on the
-    norms m = d*p and n = e*p, so the variance makes one call per norm
-    pair, at multipliers m/G and n/G with G = gcd(m, n), scales each by
-    L // ((m/G)*(n/G)), with L = lcm(1..q_max), and the sum by u, to
-    ``den`` = L*u**2, the one denominator of the report's sums.  A product
-    of measures 2*psi(m) * 2*psi(n) is 4*L*rho[m]*rho[n] over ``den``.
-    """
-
-    def __init__(self, psi: ApproxFunction, gamma, scale_bits: int,
-                 q_max: int) -> None:
-        shift = as_shift(gamma, scale_bits)
-        sd = shift.denominator
-        psi_num, td = psi_table(psi, q_max)
-        self.u = lcm(sd, td)
-        self.a = shift.numerator * (self.u // sd)
-        lift = self.u // td
-        self.rho = [p * lift for p in psi_num]
-        self.L = lcm(*range(1, q_max + 1))
-        self.den = self.L * self.u ** 2
-        self.scale_bits = scale_bits
+def _lift(psi: ApproxFunction, gamma, scale_bits: int, q_max: int,
+          ) -> tuple[list[int], int, int]:
+    """(rho, a, u): the shift sn/sd and psi(n) for n <= q_max, an integer
+    over td (``psi_table``), lifted to the one unit u = lcm(sd, td), so that
+    the shift is a/u and psi(n) is rho[n]/u.  The overlap of multipliers d,
+    e along a direction of norm p is then one ``overlap_1d_num(d,
+    rho[d*p], e, rho[e*p], a, a, u)`` call, both relative signs over
+    lcm(d, e)*u."""
+    shift = as_shift(gamma, scale_bits)
+    sd = shift.denominator
+    psi_num, td = psi_table(psi, q_max)
+    u = lcm(sd, td)
+    lift = u // td
+    return [p * lift for p in psi_num], shift.numerator * (u // sd), u
 
 
-def _pair_sum(engine: _PairEngine,
+def _pair_sum(rho: list[int], a: int, u: int, L: int,
               pairs: Iterable[tuple[int, int, int, int]]) -> int:
-    """Overlap sum minus product sum, over ``engine.den``, of the ordered
-    parallel vector pairs given by norm pairs.
+    """Overlap sum minus product sum, over L*u**2, of the ordered parallel
+    vector pairs given by norm pairs, with (rho, a, u) from ``_lift`` and L
+    a multiple of every m*n/gcd(m, n)**2.
 
     ``pairs`` yields (m, n, c_same, c_opp): two norms, in either order, with
     psi nonzero at both, and the numbers of ordered parallel vector pairs
@@ -146,7 +132,6 @@ def _pair_sum(engine: _PairEngine,
     ``overlap_1d_num`` call gives both signs: with G = gcd(m, n) it is that
     of multipliers m/G and n/G, over (m/G)*(n/G)*u.
     """
-    rho, a, u, L = engine.rho, engine.a, engine.u, engine.L
     ov = 0          # over L*u
     prod = 0        # sum of counted rho[m]*rho[n]
     for m, n, c_same, c_opp in pairs:
@@ -156,7 +141,8 @@ def _pair_sum(engine: _PairEngine,
         same, opp = overlap_1d_num(m, pm, n, pn, a, a, u)
         ov += (c_same * same + c_opp * opp) * (L // (m * n))
         prod += (c_same + c_opp) * pm * pn
-    # a product of measures 2*psi(m) * 2*psi(n) is 4*L*rho[m]*rho[n] over den
+    # a product of measures 2*psi(m) * 2*psi(n) is 4*L*rho[m]*rho[n] over
+    # L*u**2
     return ov * u - 4 * L * prod
 
 
@@ -171,10 +157,12 @@ def _whole_pairs(support: list[int]) -> Iterator[tuple[int, int, int, int]]:
         yield m, m, 8 * m, 8 * m
 
 
-def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
-              boundary: list[LatticeVector]) -> VarianceReport:
+def _variance(label: str, rho: list[int], a: int, u: int, scale_bits: int,
+              n_lo: int, n_hi: int, boundary: list[tuple[int, int]],
+              ) -> VarianceReport:
     """Exact variance of the indicator sum over the whole shells n_lo..n_hi
-    plus the explicit ``boundary`` vectors (which lie outside those shells).
+    plus the explicit ``boundary`` vectors (q1, q2) (which lie outside those
+    shells), with (rho, a, u) from ``_lift`` up to the largest norm.
 
     Every parallel pair enters as a weight on its pair of norms, summed by
     ``_pair_sum`` over the norms where psi is nonzero:
@@ -184,8 +172,9 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
         the two vectors of each whole norm n that p divides, once per sign;
       * boundary x boundary: the ordered pairs within each direction, by
         the norms of their members and their relative sign.
-    Every term is an integer over ``engine.den`` (measures over
-    ``engine.u``), so each report field is one Fraction, built at the end.
+    With L = lcm(1..q_max), q_max = len(rho) - 1, every term is an integer
+    over L*u**2 (measures over u), so each report field is one Fraction,
+    built at the end.
 
     ``n_overlap_evals`` counts the signed pair overlaps the sums stand for,
     from the class bounds: m(m+1) per whole direction class with m
@@ -197,21 +186,21 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
         # multipliers d with n_lo <= d*p <= n_hi
         return max(0, n_hi // p - (n_lo - 1) // p)
 
-    rho = engine.rho
     support = [n for n in range(n_lo, n_hi + 1) if rho[n]]
     evals = sum(m * (m + 1) for m in map(multiples, range(1, n_hi + 1)))
 
     # the boundary by canonical direction, and per end-shell norm the
     # number of its vectors of each direction norm
     by_dir: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for b in boundary:
-        pb, sb = b.canonical_direction()
-        by_dir.setdefault(pb, []).append((b.norm, sb))
+    for q1, q2 in boundary:
+        g, pb, sb = canonical(q1, q2)
+        by_dir.setdefault(pb, []).append((g, sb))
     dir_norms: dict[int, dict[int, int]] = {}
     inner: dict[tuple[int, int], list[int]] = {}   # (m, n) -> [same, opp]
-    for pb, members in by_dir.items():
-        p = max(abs(pb[0]), abs(pb[1]))
+    for (p1, p2), members in by_dir.items():
+        p = max(p1, abs(p2))
         evals += len(members) * (len(members) + 2 * multiples(p))
+        members = [(g * p, sb) for g, sb in members]   # (norm, sign)
         for m1, s1 in members:
             counts = dir_norms.setdefault(m1, {})
             counts[p] = counts.get(p, 0) + 1
@@ -230,16 +219,17 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
             if rho[m] and rho[n]:
                 yield m, n, c_same, c_opp
 
-    variance = _pair_sum(engine, chain(_whole_pairs(support),
-                                       boundary_pairs()))
+    L = lcm(*range(1, len(rho)))
+    variance = _pair_sum(rho, a, u, L, chain(_whole_pairs(support),
+                                             boundary_pairs()))
 
     # measure sum, diagonal and max measure over u: (norm, vectors of that norm)
-    u = engine.u
     sum_rho = 0
     diagonal = 0       # over u**2
     max_rho = 0
     weighted = [(n, shell_size(n)) for n in range(n_lo, n_hi + 1)]
-    for n, k in weighted + [(b.norm, 1) for b in boundary]:
+    ends = [(m, sum(counts.values())) for m, counts in dir_norms.items()]
+    for n, k in weighted + ends:
         p = rho[n]
         sum_rho += k * p
         diagonal += k * (2 * p * u - 4 * p * p)
@@ -248,11 +238,11 @@ def _variance(label: str, engine: _PairEngine, n_lo: int, n_hi: int,
     return VarianceReport(
         label=label,
         sum_measures=Fraction(2 * sum_rho, u),
-        variance=Fraction(variance, engine.den),
+        variance=Fraction(variance, L * u * u),
         diagonal=Fraction(diagonal, u * u),
         max_measure=Fraction(2 * max_rho, u),
         n_overlap_evals=evals,
-        shift_error_bound=evals * 2.0 ** (8 - engine.scale_bits),
+        shift_error_bound=evals * 2.0 ** (8 - scale_bits),
     )
 
 
@@ -265,7 +255,8 @@ def variance_full(Q: int, psi: ApproxFunction, gamma,
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    return _variance(f"Q={Q}", _PairEngine(psi, gamma, scale_bits, Q), 1, Q, [])
+    return _variance(f"Q={Q}", *_lift(psi, gamma, scale_bits, Q), scale_bits,
+                     1, Q, [])
 
 
 def variance_window(u: LatticeVector, v: LatticeVector, psi: ApproxFunction,
@@ -281,30 +272,32 @@ def variance_window(u: LatticeVector, v: LatticeVector, psi: ApproxFunction,
     if u.order_key() > v.order_key():
         raise ValueError("need u before v in the total order")
     return _variance(f"window[{u.q1},{u.q2}..{v.q1},{v.q2}]",
-                     _PairEngine(psi, gamma, scale_bits, v.norm),
+                     *_lift(psi, gamma, scale_bits, v.norm), scale_bits,
                      u.norm + 1, v.norm - 1, window_boundary(u, v))
 
 
 def window_boundary(u: LatticeVector, v: LatticeVector,
-                    ) -> list[LatticeVector]:
-    """The vectors w of the end shells |u| and |v| with u <= w <= v in the
-    total order, in that order.  Each key (n, q1, q2) is compared before
-    its vector is built."""
+                    ) -> list[tuple[int, int]]:
+    """(q1, q2) of the vectors w of the end shells |u| and |v| with
+    u <= w <= v in the total order, in that order."""
     lo, hi = u.order_key(), v.order_key()
-    return [LatticeVector(q1, q2) for n in sorted({u.norm, v.norm})
+    return [(q1, q2) for n in sorted({u.norm, v.norm})
             for q1, q2 in shell_coords(n) if lo <= (n, q1, q2) <= hi]
 
 
 def variance_bruteforce(vectors: list[LatticeVector], psi: ApproxFunction,
                         gamma, scale_bits: int = DEFAULT_SCALE_BITS,
                         ) -> Fraction:
-    """All-pairs oracle: sum of overlap_2d minus (sum of measures)^2."""
+    """All-pairs oracle: sum of overlap_2d over ordered pairs minus (sum of
+    measures)^2.  The overlap is symmetric, so each unordered pair is
+    evaluated once and counted twice off the diagonal."""
     total = Fraction(0)
     meas = Fraction(0)
-    for a in vectors:
+    for i, a in enumerate(vectors):
         meas += 2 * eval_psi(psi, a.norm)
-        for b in vectors:
-            total += overlap_2d(a, b, psi, gamma, scale_bits)[0]
+        total += overlap_2d(a, a, psi, gamma, scale_bits)[0]
+        for b in vectors[:i]:
+            total += 2 * overlap_2d(a, b, psi, gamma, scale_bits)[0]
     return total - meas ** 2
 
 
@@ -352,13 +345,12 @@ def sweep_classes(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
     with the bound bnum/bden = bnum/(d*u**2), bnum None beyond the
     threshold, and the same-sign and opposite-sign overlaps same/oden and
     opp/oden, oden = lcm(d, e)*u, neither fraction reduced, where u is the
-    engine's unit lcm(sd, td).  Once the loop is exhausted, ``summary``
+    unit lcm(sd, td) of ``_lift``.  Once the loop is exhausted, ``summary``
     holds the tally and the largest overlap/bound ratio.
     """
     if not w.analytic and w.q_max < Q:
         raise ValueError(f"witness certified only up to {w.q_max} < Q={Q}")
-    engine = _PairEngine(psi, gamma, scale_bits, Q)
-    rho, a, u = engine.rho, engine.a, engine.u
+    rho, a, u = _lift(psi, gamma, scale_bits, Q)
     u2 = u * u
     # the threshold depends on d alone
     thresholds = [0, 0] + [vanish_threshold(w, d) for d in range(2, Q + 1)]

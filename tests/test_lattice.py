@@ -3,11 +3,12 @@ from math import gcd
 
 import pytest
 
-from kglab.lattice import (LatticeVector, count_gcd_shell, divisor_phi_pairs,
-                           divisors, factorize, gcd_power_sum,
-                           gcd_power_sum_naive, gcd_power_sum_sweep,
-                           gcd_shell_bound_ok, phi, primitive_shell_count,
-                           primorials, shell, shell_size, tau)
+from kglab.lattice import (LatticeVector, canonical, count_gcd_shell,
+                           divisor_phi_pairs, divisors, factorize,
+                           gcd_power_sum, gcd_power_sum_naive,
+                           gcd_power_sum_sweep, gcd_shell_bound_ok, phi,
+                           primitive_shell_count, primorials, shell,
+                           shell_size, tau)
 
 
 def brute_shell(n):
@@ -39,6 +40,19 @@ def test_total_order_separates_shells():
         last = shell(n)[-1]
         first = shell(n + 1)[0]
         assert last.order_key() < first.order_key()
+
+
+def test_canonical_direction_and_sign():
+    # every vector of norm <= 30: v = s*g*P with g = gcd(v), P primitive
+    # and lexicographically positive, and -v has the same g and P
+    for n in range(1, 31):
+        for q1, q2 in brute_shell(n):
+            g, (p1, p2), s = canonical(q1, q2)
+            assert (s * g * p1, s * g * p2) == (q1, q2)
+            assert g == gcd(q1, q2) and gcd(p1, p2) == 1
+            assert p1 > 0 or (p1 == 0 and p2 > 0)
+            assert s in (1, -1)
+            assert canonical(-q1, -q2) == (g, (p1, p2), -s)
 
 
 def test_count_gcd_shell_formula_vs_enumeration():

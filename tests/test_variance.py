@@ -13,7 +13,7 @@ from kglab.psifunc import PowerLaw, TablePsi, eval_psi
 from kglab.surd import QuadraticSurd
 from kglab.torus import (TorusSet1D, as_shift, lemma3_bound, measure_2d,
                          overlap_1d_num, overlap_2d, overlap_sweep_oracle)
-from kglab.variance import (SweepSummary, _PairEngine, highdim_bound_check,
+from kglab.variance import (SweepSummary, _lift, highdim_bound_check,
                             vanishing_bound_sweep, variance_bruteforce,
                             variance_full, variance_window, window_boundary)
 from kglab.witness import NonLiouvilleWitness, fit_witness, vanish_threshold
@@ -105,8 +105,8 @@ def test_windows_random_match_bruteforce():
 
 
 def test_window_boundary_matches_shell_filter():
-    # the end-shell vectors of a window, keys compared before any vector is
-    # built, against the filter of whole shells by order_key; random
+    # the end-shell coordinates of a window, filtered by key, against the
+    # filter of whole shells of vectors by order_key; random
     # windows, u = v, and u and v on the same shell
     rng = random.Random(20)
     all_vecs = [w for n in range(1, 41) for w in shell(n)]
@@ -118,7 +118,8 @@ def test_window_boundary_matches_shell_filter():
         pairs.append(sorted(rng.sample(range(start, start + 8 * n), 2)))
     for i, j in pairs:
         u, v = all_vecs[i], all_vecs[j]
-        want = [w for n in sorted({u.norm, v.norm}) for w in shell(n)
+        want = [(w.q1, w.q2) for n in sorted({u.norm, v.norm})
+                for w in shell(n)
                 if u.order_key() <= w.order_key() <= v.order_key()]
         assert window_boundary(u, v) == want
 
@@ -238,6 +239,10 @@ DIFF_WINDOWS = [
     # (2,4), (-2,-4) on shell 4 and (3,6), (-3,-6) on shell 6; (4,4) and
     # (-6,-6) on the end shells with (+-5,+-5) whole between them
     (L(-2, -4), L(3, 6)),
+    # axis vectors and diagonals on both end shells: (+-2, 0), (0, +-2),
+    # (-2, 2), (2, +-2) on shell 2 and (+-4, 0), (0, +-4), (-4, +-4),
+    # (4, -4) on shell 4, with shell 3 whole between them
+    (L(-2, 0), L(4, 0)),
 ]
 
 
@@ -307,7 +312,7 @@ def test_one_kernel_call_per_norm_pair(psi, monkeypatch):
     # psi nonzero at both, at multipliers m/G and n/G, and never for a norm
     # where psi is 0; psi differs between norms, so rho names the norm
     Q = 12
-    rho = _PairEngine(psi, SQRT2, DEFAULT_SCALE_BITS, Q).rho
+    rho, _, _ = _lift(psi, SQRT2, DEFAULT_SCALE_BITS, Q)
     norm_of = {rho[n]: n for n in range(1, Q + 1) if rho[n]}
     assert len(norm_of) == sum(1 for n in range(1, Q + 1) if rho[n])
     calls = []
