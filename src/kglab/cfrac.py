@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
-from .surd import QuadraticSurd
+from .surd import QuadraticSurd, floor_surd
 
 
 @dataclass(frozen=True)
@@ -57,18 +56,6 @@ def convergents(a0: int, quotients: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-def _floor_p_sqrt_q(p: int, q: int, sq: int) -> int:
-    """Exact floor((p + sqrt(D))/q) given sq = isqrt(D), D not a square.
-
-    sqrt(D) lies strictly in (sq, sq+1), so the numerator lies in the open
-    interval (p+sq, p+sq+1) and the floor is determined by its left end.
-    """
-    lo = p + sq
-    if q > 0:
-        return lo // q
-    return -(lo // (-q)) - 1
-
-
 def cf_expand(gamma: QuadraticSurd, k: int | None = None) -> CFExpansion:
     """Exact continued-fraction expansion of an irrational quadratic surd.
 
@@ -90,12 +77,11 @@ def cf_expand(gamma: QuadraticSurd, k: int | None = None) -> CFExpansion:
         scale = abs(q_state)
         p_state, q_state, dd = p_state * scale, q_state * scale, dd * scale * scale
 
-    sq = isqrt(dd)
     quots: list[int] = []
     seen: dict[tuple[int, int], int] = {}
     a0 = 0
     for i in range(limit + 1):
-        ai = _floor_p_sqrt_q(p_state, q_state, sq)
+        ai = floor_surd(p_state, 1, dd, q_state)
         if i == 0:
             a0 = ai
         else:

@@ -774,9 +774,6 @@ def main(argv=None) -> int:
     try:
         apply_config(args)
         return COMMANDS[args.command][0](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except PrecisionError as exc:
         print(f"precision range: {exc}", file=sys.stderr)
         return EXIT_PRECISION

@@ -1,8 +1,8 @@
 """Exact arithmetic on real quadratic surds (a + b*sqrt(d)) / r.
 
-All decisions (floor, sign, comparison against rationals) are made with
-integer arithmetic only; ``math.isqrt`` on big integers replaces any use of
-machine floating point.
+Every decision (floor, sign, comparison against a rational, nearest
+integer, q*gamma mod 1) is one call of ``floor_surd``, which takes one
+integer square root; no machine floating point is used.
 """
 
 from __future__ import annotations
@@ -22,6 +22,20 @@ def squarefree_split(n: int) -> tuple[int, int]:
         s *= p ** (e // 2)
         f *= p ** (e % 2)
     return s, f
+
+
+def floor_surd(a: int, b: int, d: int, r: int) -> int:
+    """Exact floor((a + b*sqrt(d)) / r) for r != 0 and d not a perfect square.
+
+    b*sqrt(d) is then never an integer, so it lies strictly inside
+    (s, s+1) for b > 0 and (-s-1, -s) for b < 0, s = isqrt(b^2 d): the
+    numerator's floor is lo below, and the numerator lies in (lo, lo+1).
+    """
+    if b == 0:
+        return a // r
+    s = isqrt(b * b * d)
+    lo = a + s if b > 0 else a - s - 1
+    return lo // r if r > 0 else (-lo - 1) // -r
 
 
 @dataclass(frozen=True)
@@ -75,45 +89,26 @@ class QuadraticSurd:
 
     def sign(self) -> int:
         """Exact sign of the value."""
-        a, b = self.a, self.b  # r > 0 after normalization
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        # compare a vs -b*sqrt(d): square once signs disagree
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, b * b * self.d
-        if a > 0:  # b < 0: sign of a - |b|sqrt(d)
-            return 1 if lhs > rhs else -1  # equality impossible (d squarefree)
-        return -1 if lhs > rhs else 1
+        return self.cmp_fraction(0)
 
     def cmp_fraction(self, num: int, den: int = 1) -> int:
-        """Exact sign of (self - num/den); den > 0."""
-        # (a*den - num*r) + b*den*sqrt(d), all over r*den > 0
-        diff = QuadraticSurd(self.a * den - num * self.r, self.b * den,
-                             self.r * den, self.d) if self.b * den != 0 else None
-        if diff is None:
-            val = Fraction(self.a, self.r) - Fraction(num, den)
-            return (val > 0) - (val < 0)
-        return diff.sign()
+        """Exact sign of (self - num/den); den > 0.
+
+        An irrational self*den is never the integer num, so it is at least
+        num iff its floor is.
+        """
+        if self.b == 0:
+            v = self.a * den - num * self.r  # r > 0 after normalization
+            return (v > 0) - (v < 0)
+        floor = floor_surd(self.a * den, self.b * den, self.d, self.r)
+        return 1 if floor >= num else -1
 
     # -- arithmetic (same radicand) ----------------------------------------
-
-    def __neg__(self) -> "QuadraticSurd":
-        return QuadraticSurd(-self.a, -self.b, self.r, self.d)
 
     def add_fraction(self, fr: Fraction) -> "QuadraticSurd":
         num, den = fr.numerator, fr.denominator
         return QuadraticSurd(self.a * den + num * self.r, self.b * den,
                              self.r * den, self.d)
-
-    def mul_int(self, k: int) -> "QuadraticSurd":
-        if k == 0:
-            raise ValueError("multiplying a surd by 0 yields a rational")
-        return QuadraticSurd(self.a * k, self.b * k, self.r, self.d)
 
     def reciprocal(self) -> "QuadraticSurd":
         """1 / self for irrational self."""
@@ -127,22 +122,12 @@ class QuadraticSurd:
 
     def floor(self) -> int:
         """Exact floor, via one integer square root."""
-        a, b, r, d = self.a, self.b, self.r, self.d
-        if b == 0:
-            return a // r
-        s = isqrt(b * b * d)
-        # b*sqrt(d) lies in (s, s+1) for b>0, in (-s-1, -s) for b<0
-        # (strict: d squarefree so b*sqrt(d) is never an integer)
-        lo = a + s if b > 0 else a - s - 1
-        # numerator lies in (lo, lo+1), so floor(num/r) == floor(lo_open/r)
-        # for the open interval: floor((lo + theta)/r) with theta in (0,1)
-        return lo // r
+        return floor_surd(self.a, self.b, self.d, self.r)
 
     def to_fraction_floor(self, scale_bits: int) -> Fraction:
         """Exact floor(self * 2**scale_bits) / 2**scale_bits."""
-        scaled = QuadraticSurd(self.a << scale_bits, self.b << scale_bits,
-                               self.r, self.d)
-        return Fraction(scaled.floor(), 1 << scale_bits)
+        return Fraction(floor_surd(self.a << scale_bits, self.b << scale_bits,
+                                   self.d, self.r), 1 << scale_bits)
 
     def __repr__(self) -> str:
         return f"QuadraticSurd(({self.a} + {self.b}*sqrt({self.d}))/{self.r})"
@@ -162,16 +147,8 @@ def surd_eval(gamma: QuadraticSurd, q: int, scale_bits: int) -> FixedPoint:
         )
     if q == 0:
         return FixedPoint(0, scale_bits)
-    a, b, r, d = gamma.a * q, gamma.b * q, gamma.r, gamma.d
-    if b == 0:
-        mant = (a << scale_bits) // r
-    else:
-        # exact floor of (a*2^s + b*2^s*sqrt(d))/r via one isqrt of
-        # d * b^2 * 4^scale_bits
-        bs = b << scale_bits
-        s = isqrt(bs * bs * d)
-        lo = (a << scale_bits) + (s if b > 0 else -s - 1)
-        mant = lo // r
+    mant = floor_surd(gamma.a * q << scale_bits, gamma.b * q << scale_bits,
+                      gamma.d, gamma.r)
     return FixedPoint(mant % (1 << scale_bits), scale_bits)
 
 
@@ -179,14 +156,16 @@ def dist_to_nearest_int_exact(gamma: QuadraticSurd, q: int) -> QuadraticSurd | F
     """||q*gamma|| as an exact surd (or Fraction when gamma is rational)."""
     if q == 0:
         return Fraction(0)
-    x = gamma.mul_int(q)
-    if x.is_rational:
-        v = Fraction(x.a, x.r)
-        f = v - v.__floor__()
+    a, b, r, d = gamma.a * q, gamma.b * q, gamma.r, gamma.d
+    if b == 0:
+        f = Fraction(a % r, r)
         return min(f, 1 - f)
-    p = x.add_fraction(Fraction(1, 2)).floor()  # nearest integer to x
-    diff = x.add_fraction(Fraction(-p))
-    return diff if diff.sign() >= 0 else -diff
+    # x = q*gamma is irrational: with p = floor(x + 1/2) its nearest integer,
+    # floor(2x + 1) is 2p + 1 when x > p and 2p when x < p
+    m = floor_surd(2 * a + r, 2 * b, d, r)
+    sgn = 1 if m & 1 else -1
+    p = m >> 1
+    return QuadraticSurd(sgn * (a - p * r), sgn * b, r, d)
 
 
 def dist_cmp_fraction(gamma: QuadraticSurd, q: int, num: int, den: int) -> int:

@@ -1,8 +1,11 @@
 """Irrationality-measure witnesses: ||q*gamma|| >= 1/(c*q^eta) certificates.
 
-A witness is fitted from exact surd comparisons at convergent denominators
-(the minima of q -> q^eta * ||q*gamma|| over any range occur there, by the
-best-approximation property) plus an exhaustive sweep over small q.  For
+A witness is fitted at convergent denominators (the minima of
+q -> q^eta * ||q*gamma|| over any range occur there, by the
+best-approximation property) plus an exhaustive sweep over small q.  Each
+checked q needs c > 1/(q^eta * ||q*gamma||), an irrational number, so the
+least power of two that serves it comes from one exact floor
+(``surd.floor_surd``), and each eta is one pass over the points.  For
 quadratic surds an analytic certificate valid for *all* q is derived from
 the minimal polynomial and reported alongside.
 """
@@ -12,11 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .cfrac import CFExpansion, cf_expand, cf_to_surd
 from .psifunc import ApproxFunction, integer_nth_root, unwrap_power_law
-from .surd import QuadraticSurd, dist_to_nearest_int_exact
+from .surd import QuadraticSurd, dist_to_nearest_int_exact, floor_surd
 
 ETA_MAX_DEFAULT = 10
 C_MAX_DEFAULT = 1 << 64
@@ -139,49 +142,47 @@ def analytic_witness_c(gamma: QuadraticSurd) -> Fraction:
     A //= g
     # ceil(|gamma - gamma'|) = ceil(2|b|sqrt(d)/r); the argument is
     # irrational, so floor + 1 is the exact ceiling
-    spread_ceil = isqrt(4 * b * b * d) // r + 1
+    spread_ceil = floor_surd(0, 2 * abs(b), d, r) + 1
     return Fraction(A * (spread_ceil + 1))
-
-
-def _dist_ge(dist, c: Fraction, q: int, eta: int) -> bool:
-    """Exact test ||q*gamma|| >= 1/(c*q^eta) given the cached distance."""
-    num, den = c.denominator, c.numerator * q ** eta
-    if isinstance(dist, Fraction):
-        return dist >= Fraction(num, den)
-    return dist.cmp_fraction(num, den) >= 0
 
 
 def fit_witness(gamma: QuadraticSurd | CFExpansion, psi: ApproxFunction,
                 q_max: int, eta_max: int = ETA_MAX_DEFAULT,
                 c_max: int = C_MAX_DEFAULT,
                 ) -> NonLiouvilleWitness | WitnessFitFailure:
-    """Smallest eta, then smallest power-of-two c, certifying the range.
+    """Smallest eta, then smallest power-of-two c <= c_max, certifying the
+    range.
 
-    Validity is decided exactly (surd comparisons) at convergent
-    denominators <= q_max and exhaustively for q <= 100; an intermediate
-    q violating the bound would force a violating convergent, so the
-    checked points cover the whole range.
+    Validity is decided exactly at convergent denominators <= q_max and
+    exhaustively for q <= 100; an intermediate q violating the bound would
+    force a violating convergent, so the checked points cover the whole
+    range.  With x = 1/||q*gamma|| (irrational), q needs
+    c >= x/q^eta, and the least power of two doing that is
+    1 << floor(x/q^eta).bit_length(): one floor per point and eta, and c
+    is the largest need.  A failure names the first point whose need at
+    eta_max exceeds c_max.
     """
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
     if eta_max < 1:
         raise ValueError("eta_max must be >= 1")
+    if c_max < 1:
+        raise ValueError("c_max must be >= 1")
     surd = _gamma_to_surd(gamma)
     if surd.is_rational:
         raise ValueError("gamma must be irrational")
     Cpsi, eps = _read_C_epsilon(psi)
-    dists = [(q, dist_to_nearest_int_exact(surd, q))
-             for q in check_points(surd, q_max)]
+    inverses = [(q, dist_to_nearest_int_exact(surd, q).reciprocal())
+                for q in check_points(surd, q_max)]
 
     for eta in range(1, eta_max + 1):
-        c = Fraction(1)
-        while c <= c_max:
-            if all(_dist_ge(dist, c, q, eta) for q, dist in dists):
-                return NonLiouvilleWitness(eta=eta, c=c, C=Cpsi, epsilon=eps,
-                                           q_max=q_max)
-            c *= 2
-    c_top = Fraction(1 << (int(c_max).bit_length() - 1))  # largest tried c
-    worst = next(q for q, dist in dists if not _dist_ge(dist, c_top, q, eta_max))
+        needs = [1 << floor_surd(x.a, x.b, x.d, x.r * q ** eta).bit_length()
+                 for q, x in inverses]
+        c = max(needs)
+        if c <= c_max:
+            return NonLiouvilleWitness(eta=eta, c=Fraction(c), C=Cpsi,
+                                       epsilon=eps, q_max=q_max)
+    worst = next(q for (q, _), need in zip(inverses, needs) if need > c_max)
     return WitnessFitFailure(eta_max=eta_max, c_max=c_max, q_max=q_max,
                              worst_q=worst)
 

@@ -4,7 +4,8 @@ import pytest
 
 from kglab.fixedpoint import PrecisionError
 from kglab.surd import (QuadraticSurd, dist_cmp_fraction,
-                        dist_to_nearest_int_exact, squarefree_split, surd_eval)
+                        dist_to_nearest_int_exact, floor_surd, squarefree_split,
+                        surd_eval)
 
 SQRT2 = QuadraticSurd.sqrt(2)
 GOLDEN = QuadraticSurd.golden_ratio()
@@ -107,3 +108,40 @@ def test_sqrt2_irrationality_measure_exhaustive():
     # q * ||q sqrt2|| > 1/4 for every q up to 1e5 (eta=1, c=4 witness basis)
     for q in range(1, 10 ** 5 + 1):
         assert dist_cmp_fraction(SQRT2, q, 1, 4 * q) > 0
+
+
+def _at_least(a: int, b: int, d: int, t: int) -> bool:
+    """a + b*sqrt(d) >= t, by squaring once the signs are known."""
+    u = t - a  # is b*sqrt(d) >= u?
+    if b >= 0:
+        return u <= 0 or b * b * d >= u * u
+    return u < 0 and u * u >= b * b * d
+
+
+def _floor_oracle_holds(a: int, b: int, d: int, r: int, k: int) -> bool:
+    """k <= (a + b*sqrt(d))/r < k + 1, i.e. k*r <= a + b*sqrt(d) < (k+1)*r
+    once r is made positive."""
+    if r < 0:
+        a, b, r = -a, -b, -r
+    return _at_least(a, b, d, k * r) and not _at_least(a, b, d, (k + 1) * r)
+
+
+def test_floor_surd_against_squaring_oracle():
+    import random
+
+    rng = random.Random(11)
+    radicands = [2, 3, 5, 7, 8, 12, 18, 50, 99, 2 * 9 * 25, 10 ** 6 + 3]
+    for i in range(4000):
+        shift = 192 if i % 4 == 0 else 0
+        a = rng.randint(-10 ** 4, 10 ** 4) << shift
+        b = rng.choice([0, rng.randint(-300, 300) or -1]) << shift
+        r = rng.choice([-1, 1]) * rng.randint(1, 400)
+        d = rng.choice(radicands)
+        if i % 3 == 0:  # cf_expand's form: d * b^2 * scale^2 with b = 1
+            d, b = d * rng.randint(1, 50) ** 2 * rng.randint(1, 30) ** 2, 1
+        k = floor_surd(a, b, d, r)
+        assert _floor_oracle_holds(a, b, d, r, k), (a, b, d, r, k)
+    # values just off an integer, at each sign of b and r
+    for a, b, d, r in [(0, 1, 2, -1), (0, -1, 2, 1), (-1, 1, 2, 1),
+                       (1, -1, 2, -1), (3, 0, 5, -2), (-3, 0, 5, 2)]:
+        assert _floor_oracle_holds(a, b, d, r, floor_surd(a, b, d, r))

@@ -129,3 +129,50 @@ def test_analytic_witness():
     # analytic certificate actually holds over a dense sweep
     for q in range(1, 3000):
         assert dist_cmp_fraction(SQRT2, q, 1, 4 * q) >= 0
+
+
+FIT_GAMMAS = ["sqrt:%d" % d for d in (2, 3, 5, 7, 10, 13, 46, 94, 199, 991)] + [
+    "surd:3,-2,7,6", "surd:5,-3,4,11", "surd:-1,2,-3,12",
+    "cf:0,1,1,1,200;1", "cf:1;2", "cf:0,3;1,2",
+    "liouville:1", "liouville:2", "liouville:3"]
+
+
+def _doubling_fit(g, q_max, eta_max, c_max):
+    """The witness search as a plain doubling loop: per eta, c = 1, 2, 4, ...
+    up to c_max, each checked at every point by ``dist_cmp_fraction``."""
+    from kglab.witness import check_points
+
+    qs = check_points(g, q_max)
+
+    def holds(eta, c, q):
+        return dist_cmp_fraction(g, q, 1, c * q ** eta) >= 0
+
+    for eta in range(1, eta_max + 1):
+        c = 1
+        while c <= c_max:
+            if all(holds(eta, c, q) for q in qs):
+                return ("ok", eta, c)
+            c *= 2
+    c_top = 1 << (c_max.bit_length() - 1)
+    return ("fail", next(q for q in qs if not holds(eta_max, c_top, q)))
+
+
+@pytest.mark.parametrize("spec", FIT_GAMMAS)
+def test_fit_witness_matches_doubling_search(spec):
+    from kglab.cli import parse_gamma
+
+    g = parse_gamma(spec)
+    for q_max in (2, 10, 70, 400, 3000):
+        for eta_max, c_max in ((10, 1 << 64), (1, 1 << 64), (3, 1000),
+                               (2, 7), (10, 1)):
+            w = fit_witness(g, PSI, q_max, eta_max=eta_max, c_max=c_max)
+            got = (("ok", w.eta, w.c) if isinstance(w, NonLiouvilleWitness)
+                   else ("fail", w.worst_q))
+            want = _doubling_fit(g, q_max, eta_max, c_max)
+            assert got == want, (q_max, eta_max, c_max)
+
+
+@pytest.mark.parametrize("c_max", [0, -3])
+def test_witness_rejects_c_max_below_one(c_max):
+    with pytest.raises(ValueError):
+        fit_witness(SQRT2, PSI, 1000, c_max=c_max)
