@@ -1,15 +1,18 @@
 """Continued fractions of quadratic surds: expansion, convergents, and a
 constructed expansion with Liouville-like convergent gaps for negative tests.
 
-The expansion of a quadratic surd is computed with the classical integer
-(P + sqrt(D))/Q recurrence; the state space is finite, so the periodic part
-is detected exactly.
+A surd's normal form (a, b, r, d) is already a state (P, Q, D) =
+(b*a, b*r, d) of the classical integer (P + sqrt(D))/Q recurrence, with
+Q | D - P^2.  ``cf_quotients`` runs that recurrence; ``cf_expand`` adds
+exact period detection (the state space is finite), and the witness
+fitter stops it at its last convergent.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .surd import QuadraticSurd, floor_surd
 
@@ -56,58 +59,57 @@ def convergents(a0: int, quotients: list[int]) -> list[tuple[int, int]]:
     return out
 
 
+def cf_quotients(gamma: QuadraticSurd
+                 ) -> Iterator[tuple[int, tuple[int, int]]]:
+    """(a_i, (P, Q)) for i = 0, 1, ...: the partial quotients of an
+    irrational surd, each with the state (P, Q) of the complete quotient
+    (P + sqrt(D))/Q that follows it."""
+    if gamma.is_rational:
+        raise ValueError("continued-fraction expansion requires irrational input")
+    p, q, d = gamma.b * gamma.a, gamma.b * gamma.r, gamma.d
+    while True:
+        ai = floor_surd(p, 1, d, q)
+        p = ai * q - p
+        q = (d - p * p) // q
+        yield ai, (p, q)
+
+
 def cf_expand(gamma: QuadraticSurd, k: int | None = None) -> CFExpansion:
     """Exact continued-fraction expansion of an irrational quadratic surd.
 
     Returns the full eventually-periodic form; ``k`` bounds the number of
     quotients computed before giving up (safety valve, default 10000).
     """
-    if gamma.is_rational:
-        raise ValueError("continued-fraction expansion requires irrational input")
     limit = 10000 if k is None else max(k, 4)
-
-    # Rewrite (a + b sqrt d)/r as (P + sqrt D)/Q with b absorbed and
-    # Q | (D - P^2), the invariant the recurrence preserves.
-    a, b, r, d = gamma.a, gamma.b, gamma.r, gamma.d
-    if b > 0:
-        p_state, q_state, dd = a, r, d * b * b
-    else:
-        p_state, q_state, dd = -a, -r, d * b * b
-    if (dd - p_state * p_state) % q_state != 0:
-        scale = abs(q_state)
-        p_state, q_state, dd = p_state * scale, q_state * scale, dd * scale * scale
-
     quots: list[int] = []
     seen: dict[tuple[int, int], int] = {}
-    a0 = 0
-    for i in range(limit + 1):
-        ai = floor_surd(p_state, 1, dd, q_state)
-        if i == 0:
-            a0 = ai
-        else:
-            quots.append(ai)
-        p_state = ai * q_state - p_state
-        q_state = (dd - p_state * p_state) // q_state
-        key = (p_state, q_state)
-        if key in seen:
-            start = seen[key]
-            return CFExpansion(a0, tuple(quots[:start]), tuple(quots[start:]))
-        seen[key] = len(quots)
-    raise RuntimeError(f"no period detected within {limit} quotients")
+    for ai, state in itertools.islice(cf_quotients(gamma), limit + 1):
+        quots.append(ai)
+        if state in seen:
+            start = seen[state]
+            return CFExpansion(quots[0], tuple(quots[1:start]),
+                               tuple(quots[start:]))
+        seen[state] = len(quots)
+    raise ValueError(f"no period detected within {limit} quotients")
 
 
 def cf_to_surd(cf: CFExpansion) -> QuadraticSurd:
     """Exact value of an eventually periodic continued fraction."""
     # purely periodic tail x = [b0; b1, ..., b_{m-1}, x]:
-    # x = (p_{m-1} x + p_{m-2}) / (q_{m-1} x + q_{m-2})
+    # x = (p_{m-1} x + p_{m-2}) / (q_{m-1} x + q_{m-2}), so x is the positive
+    # root (u + sqrt(D))/v of q_{m-1} x^2 + (q_{m-2} - p_{m-1}) x - p_{m-2}
     pk = convergents(cf.period[0], list(cf.period[1:]))
     p1, q1 = pk[-1]
     p0, q0 = pk[-2] if len(pk) >= 2 else (1, 0)
-    disc = (q0 - p1) ** 2 + 4 * q1 * p0
-    x = QuadraticSurd(p1 - q0, 1, 2 * q1, disc)  # positive root (x >= 1)
-    for a in reversed(cf.preperiod):
-        x = x.reciprocal().add_fraction(Fraction(a))
-    return x.reciprocal().add_fraction(Fraction(cf.a0))
+    u, v, D = p1 - q0, 2 * q1, (q0 - p1) ** 2 + 4 * q1 * p0
+    # gamma = [a0; pre..., x] = (P x + P') / (Q x + Q') from the head's last
+    # two convergents = (m + P sqrt(D)) / (n + Q sqrt(D)); rationalize once
+    hk = convergents(cf.a0, list(cf.preperiod))
+    P, Q = hk[-1]
+    Pp, Qp = hk[-2] if len(hk) >= 2 else (1, 0)
+    m, n = P * u + Pp * v, Q * u + Qp * v
+    return QuadraticSurd(m * n - P * Q * D, P * n - m * Q,
+                         n * n - Q * Q * D, D)
 
 
 LIOUVILLE_BOOST = 1 << 80

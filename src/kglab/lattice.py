@@ -3,7 +3,8 @@ divisor/gcd-sum diagnostics (tau, phi, restricted gcd-power sums).
 
 All counts are exact integers; every multiplicative quantity (tau, phi,
 divisors, the (d, phi(n/d)) pairs behind the gcd sums) comes from one
-trial-division ``factorize`` (desk scale), except sigma(n) for every
+trial-division ``factorize`` (desk scale, lattice-sized arguments only:
+surds are normalized without factoring), except sigma(n) for every
 n <= Q at once, which ``divisor_sums`` sieves for the count reports.
 """
 

@@ -1,8 +1,11 @@
 """Exact arithmetic on real quadratic surds (a + b*sqrt(d)) / r.
 
-Every decision (floor, sign, comparison against a rational, nearest
-integer, q*gamma mod 1) is one call of ``floor_surd``, which takes one
-integer square root; no machine floating point is used.
+A surd is held in one normal form read off its primitive minimal
+polynomial A x^2 + B x + C (A > 0): (a, b, r, d) = (-B, +-1, 2A,
+B^2 - 4AC), so no radicand is ever factored.  Every decision (floor,
+sign, comparison against a rational, nearest integer, q*gamma mod 1) is
+one call of ``floor_surd``, which takes one integer square root; no
+machine floating point is used.
 """
 
 from __future__ import annotations
@@ -12,16 +15,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .fixedpoint import MIN_SCALE_BITS, FixedPoint, PrecisionError
-from .lattice import factorize
-
-
-def squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, f) with n = s^2 * f and f square-free (n >= 1)."""
-    s, f = 1, 1
-    for p, e in factorize(n).items():
-        s *= p ** (e // 2)
-        f *= p ** (e % 2)
-    return s, f
 
 
 def floor_surd(a: int, b: int, d: int, r: int) -> int:
@@ -42,8 +35,11 @@ def floor_surd(a: int, b: int, d: int, r: int) -> int:
 class QuadraticSurd:
     """The real number (a + b*sqrt(d)) / r with integer a, b, r and d >= 2.
 
-    Normalized on construction: d square-free (square factors absorbed
-    into b), r > 0, gcd(a, b, r) = 1.  The value is irrational iff b != 0.
+    Normalized on construction, so that equal values have equal fields.
+    An irrational value is a root of one primitive A x^2 + B x + C with
+    A > 0, and is stored as (-B, b, 2A, B^2 - 4AC) with b = +-1 the sign
+    of its square-root term; then r | d - a^2.  A rational value has
+    b = 0, gcd(a, r) = 1, r > 0 and d = 2.
     """
 
     a: int
@@ -57,15 +53,19 @@ class QuadraticSurd:
         if self.d <= 1:
             raise ValueError("radicand d must be >= 2")
         a, b, r, d = self.a, self.b, self.r, self.d
-        s, f = squarefree_split(d)
-        if f <= 1:
+        if isqrt(d) ** 2 == d:
             raise ValueError(f"d={d} is a perfect square; use a rational instead")
-        b, d = b * s, f
         if r < 0:
             a, b, r = -a, -b, -r
-        g = gcd(gcd(abs(a), abs(b)), r)
-        if g > 1:
-            a, b, r = a // g, b // g, r // g
+        if b == 0:
+            g = gcd(a, r)
+            a, r, d = a // g, r // g, 2
+        else:
+            # minimal polynomial r^2 x^2 - 2ar x + (a^2 - b^2 d), made primitive
+            A, B, C = r * r, -2 * a * r, a * a - b * b * d
+            g = gcd(A, B, C)
+            A, B, C = A // g, B // g, C // g
+            a, b, r, d = -B, 1 if b > 0 else -1, 2 * A, B * B - 4 * A * C
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "r", r)
@@ -87,10 +87,6 @@ class QuadraticSurd:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def sign(self) -> int:
-        """Exact sign of the value."""
-        return self.cmp_fraction(0)
-
     def cmp_fraction(self, num: int, den: int = 1) -> int:
         """Exact sign of (self - num/den); den > 0.
 
@@ -102,21 +98,6 @@ class QuadraticSurd:
             return (v > 0) - (v < 0)
         floor = floor_surd(self.a * den, self.b * den, self.d, self.r)
         return 1 if floor >= num else -1
-
-    # -- arithmetic (same radicand) ----------------------------------------
-
-    def add_fraction(self, fr: Fraction) -> "QuadraticSurd":
-        num, den = fr.numerator, fr.denominator
-        return QuadraticSurd(self.a * den + num * self.r, self.b * den,
-                             self.r * den, self.d)
-
-    def reciprocal(self) -> "QuadraticSurd":
-        """1 / self for irrational self."""
-        if self.b == 0:
-            raise ValueError("reciprocal path requires an irrational surd")
-        # 1/((a + b sqrt d)/r) = r(a - b sqrt d) / (a^2 - d b^2)
-        norm = self.a * self.a - self.d * self.b * self.b
-        return QuadraticSurd(self.r * self.a, -self.r * self.b, norm, self.d)
 
     # -- integer part -------------------------------------------------------
 

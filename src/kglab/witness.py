@@ -2,12 +2,14 @@
 
 A witness is fitted at convergent denominators (the minima of
 q -> q^eta * ||q*gamma|| over any range occur there, by the
-best-approximation property) plus an exhaustive sweep over small q.  Each
+best-approximation property) plus an exhaustive sweep over small q; the
+continued fraction is run only up to the last convergent in range.  Each
 checked q needs c > 1/(q^eta * ||q*gamma||), an irrational number, so the
-least power of two that serves it comes from one exact floor
-(``surd.floor_surd``), and each eta is one pass over the points.  For
-quadratic surds an analytic certificate valid for *all* q is derived from
-the minimal polynomial and reported alongside.
+least power of two that serves it comes from one integer,
+X_q = floor(1/||q*gamma||), taken with two exact floors
+(``surd.floor_surd``); each eta is then one pass of integer divisions.
+For quadratic surds an analytic certificate valid for *all* q is derived
+from the minimal polynomial and reported alongside.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
-from .cfrac import CFExpansion, cf_expand, cf_to_surd
+from .cfrac import CFExpansion, cf_quotients, cf_to_surd
 from .psifunc import ApproxFunction, integer_nth_root, unwrap_power_law
-from .surd import QuadraticSurd, dist_to_nearest_int_exact, floor_surd
+from .surd import QuadraticSurd, floor_surd
 
 ETA_MAX_DEFAULT = 10
 C_MAX_DEFAULT = 1 << 64
@@ -109,21 +110,31 @@ def _gamma_to_surd(gamma: QuadraticSurd | CFExpansion) -> QuadraticSurd:
     return gamma
 
 
-def _quotient_iter(cf: CFExpansion):
-    return itertools.chain(cf.preperiod, itertools.cycle(cf.period))
-
-
 def check_points(gamma: QuadraticSurd, q_max: int) -> list[int]:
     """Convergent denominators <= q_max plus the exhaustive small-q guard."""
-    cf = cf_expand(gamma)
     qs = set(range(1, min(EXHAUSTIVE_Q, q_max) + 1))
     q_prev, q = 0, 1
-    for a in _quotient_iter(cf):
+    for a, _ in itertools.islice(cf_quotients(gamma), 1, None):
         q, q_prev = a * q + q_prev, q
         if q > q_max:
             break
         qs.add(q)
     return sorted(qs)
+
+
+def _inverse_dist_floor(gamma: QuadraticSurd, q: int) -> int:
+    """floor(1/||q*gamma||) for irrational gamma and q >= 1.
+
+    With p the nearest integer to x = q*gamma (floor(2x + 1) is 2p + 1
+    when x > p and 2p when x < p), ||x|| = s*(u + v*sqrt(d))/r with
+    u = qa - pr, v = qb and s = +-1; its reciprocal, rationalized, is
+    s*r*(u - v*sqrt(d)) / (u^2 - v^2 d).
+    """
+    a, v, r, d = gamma.a * q, gamma.b * q, gamma.r, gamma.d
+    m = floor_surd(2 * a + r, 2 * v, d, r)
+    s = 1 if m & 1 else -1
+    u = a - (m >> 1) * r
+    return floor_surd(s * r * u, -s * r * v, d, u * u - v * v * d)
 
 
 def analytic_witness_c(gamma: QuadraticSurd) -> Fraction:
@@ -135,14 +146,10 @@ def analytic_witness_c(gamma: QuadraticSurd) -> Fraction:
     """
     if gamma.is_rational:
         raise ValueError("analytic witness requires an irrational surd")
-    a, b, r, d = gamma.a, gamma.b, gamma.r, gamma.d
-    # minimal polynomial: r^2 x^2 - 2 a r x + (a^2 - d b^2), made primitive
-    A, B, C = r * r, -2 * a * r, a * a - d * b * b
-    g = gcd(gcd(A, abs(B)), abs(C))
-    A //= g
-    # ceil(|gamma - gamma'|) = ceil(2|b|sqrt(d)/r); the argument is
-    # irrational, so floor + 1 is the exact ceiling
-    spread_ceil = floor_surd(0, 2 * abs(b), d, r) + 1
+    A = gamma.r // 2
+    # ceil(|gamma - gamma'|) = ceil(sqrt(d)/A); the argument is irrational,
+    # so floor + 1 is the exact ceiling
+    spread_ceil = floor_surd(0, 1, gamma.d, A) + 1
     return Fraction(A * (spread_ceil + 1))
 
 
@@ -158,9 +165,10 @@ def fit_witness(gamma: QuadraticSurd | CFExpansion, psi: ApproxFunction,
     force a violating convergent, so the checked points cover the whole
     range.  With x = 1/||q*gamma|| (irrational), q needs
     c >= x/q^eta, and the least power of two doing that is
-    1 << floor(x/q^eta).bit_length(): one floor per point and eta, and c
-    is the largest need.  A failure names the first point whose need at
-    eta_max exceeds c_max.
+    1 << floor(x/q^eta).bit_length(), where floor(x/q^eta) =
+    floor(x) // q^eta: one integer per point, one division per point and
+    eta, and c is the largest need.  A failure names the first point
+    whose need at eta_max exceeds c_max.
     """
     if q_max < 2:
         raise ValueError("q_max must be >= 2")
@@ -172,12 +180,11 @@ def fit_witness(gamma: QuadraticSurd | CFExpansion, psi: ApproxFunction,
     if surd.is_rational:
         raise ValueError("gamma must be irrational")
     Cpsi, eps = _read_C_epsilon(psi)
-    inverses = [(q, dist_to_nearest_int_exact(surd, q).reciprocal())
+    inverses = [(q, _inverse_dist_floor(surd, q))
                 for q in check_points(surd, q_max)]
 
     for eta in range(1, eta_max + 1):
-        needs = [1 << floor_surd(x.a, x.b, x.d, x.r * q ** eta).bit_length()
-                 for q, x in inverses]
+        needs = [1 << (x // q ** eta).bit_length() for q, x in inverses]
         c = max(needs)
         if c <= c_max:
             return NonLiouvilleWitness(eta=eta, c=Fraction(c), C=Cpsi,

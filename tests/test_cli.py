@@ -571,6 +571,29 @@ def test_sweep_bad_q_names_the_flag(tmp_path, capsys, q, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def test_cf_period_limit_exits_2(tmp_path, capsys):
+    # the period of sqrt(100000000000031) is longer than cf_expand's limit
+    code, body = run(tmp_path, "cf", "--gamma", "sqrt:100000000000031")
+    assert (code, body) == (EXIT_CONFIG, b"")
+    assert capsys.readouterr().err == (
+        "config error: no period detected within 10000 quotients\n")
+
+
+# gamma with a 120-bit discriminant, and one whose period is too long to
+# expand: the sweep parses each without factoring and runs the continued
+# fraction only up to its last convergent <= Q
+@pytest.mark.parametrize("gamma, Q", [("cf:0;1000000,999999,1000000", "60"),
+                                      ("sqrt:100000000000031", "20")])
+def test_sweep_large_gamma_exits_0(tmp_path, gamma, Q):
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kglab.cli", "lemma3-sweep", "--gamma", gamma,
+         "--Q", Q, "--out", str(out)],
+        env=src_env(), capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+    assert out.read_bytes().startswith(b"# {")
+
+
 # A surd shift rounded at fewer than 64 bits is no longer the shift asked
 # for: at 0 bits sqrt(2) becomes 1, and a negative count cannot round.
 @pytest.mark.parametrize("argv", [

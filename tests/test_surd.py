@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kglab.fixedpoint import PrecisionError
 from kglab.surd import (QuadraticSurd, dist_cmp_fraction,
-                        dist_to_nearest_int_exact, floor_surd, squarefree_split,
-                        surd_eval)
+                        dist_to_nearest_int_exact, floor_surd, surd_eval)
 
 SQRT2 = QuadraticSurd.sqrt(2)
 GOLDEN = QuadraticSurd.golden_ratio()
@@ -15,19 +16,71 @@ FRAC_SQRT2 = "0.414213562373095048801688724209698078569671875376948073176679"
 FRAC_5SQRT2 = "0.071067811865475244008443621048490392848359376884740365883398"
 
 
-def test_squarefree_split():
-    assert squarefree_split(8) == (2, 2)
-    assert squarefree_split(12) == (2, 3)
-    assert squarefree_split(49) == (7, 1)
-    assert squarefree_split(2) == (1, 2)
+def _squarefree(n: int) -> tuple[int, int]:
+    """(s, f) with n = s^2 * f and f square-free, by trial division."""
+    s, f, p = 1, 1, 2
+    while p * p <= n:
+        while n % (p * p) == 0:
+            n, s = n // (p * p), s * p
+        if n % p == 0:
+            n, f = n // p, f * p
+        p += 1
+    return s, f * n
+
+
+def _value_key(a: int, b: int, r: int, d: int):
+    """A key equal exactly for equal values (a + b*sqrt(d))/r: the rational
+    part and the coefficient of the square-free root, with that root."""
+    s, f = _squarefree(d)
+    if b == 0:
+        return Fraction(a, r), Fraction(0), 0
+    return Fraction(a, r), Fraction(b * s, r), f
+
+
+def _assert_normal_form(x: QuadraticSurd) -> None:
+    assert x.r > 0 and x.b in (-1, 0, 1)
+    if x.b == 0:
+        assert gcd(x.a, x.r) == 1 and x.d == 2
+        return
+    # a root of the primitive A x^2 + B x + C, A > 0, with d = B^2 - 4AC
+    A, B = x.r // 2, -x.a
+    assert x.r % 2 == 0 and (x.d - x.a * x.a) % (2 * x.r) == 0
+    C = (B * B - x.d) // (4 * A)
+    assert gcd(A, B, C) == 1
+    assert QuadraticSurd(x.a, x.b, x.r, x.d) == x
 
 
 def test_normalization():
     s = QuadraticSurd(2, 2, -4, 8)   # (2 + 2*sqrt8)/-4 = (1 + 2*sqrt2)/-2
-    assert s.d == 2
-    assert s.r > 0
-    from math import gcd
-    assert gcd(gcd(abs(s.a), abs(s.b)), s.r) == 1
+    _assert_normal_form(s)
+    # -1/2 - sqrt2, the root of 4x^2 + 4x - 7 with the negative root term
+    assert (s.a, s.b, s.r, s.d) == (-4, -1, 8, 128)
+    assert s == QuadraticSurd(1, 2, -2, 2) == QuadraticSurd(-1, -2, 2, 2)
+
+
+_SURD = st.tuples(st.integers(-30, 30), st.integers(-6, 6),
+                  st.integers(-12, 12).filter(bool),
+                  st.sampled_from([2, 3, 5, 6, 7, 8, 12, 18, 20, 27, 45, 50, 72]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SURD, _SURD, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+def test_equal_values_iff_equal_fields(x, y, k, t):
+    """The normal form is canonical: scaling (ka, kb, kr) with either sign of
+    k, moving square factors between b and d and, for b = 0, changing d all
+    keep the fields; surds of different value never share them."""
+    sx, sy = QuadraticSurd(*x), QuadraticSurd(*y)
+    _assert_normal_form(sx)
+    assert (sx == sy) == (_value_key(*x) == _value_key(*y))
+    a, b, r, d = x
+    assert QuadraticSurd(k * a, k * b, k * r, d) == sx
+    assert QuadraticSurd(a, b, r, d * t * t) == QuadraticSurd(a, b * t, r, d)
+    if d % (t * t) == 0 and d // (t * t) > 1:
+        assert QuadraticSurd(a, b * t, r, d // (t * t)) == sx
+    assert QuadraticSurd(-a, -b, -r, d) == sx
+    if b == 0:
+        assert QuadraticSurd(a, 0, r, 3) == sx
+        assert QuadraticSurd(a, 0, r, 50) == sx
 
 
 def test_rejects_square_d():
@@ -137,7 +190,7 @@ def test_floor_surd_against_squaring_oracle():
         b = rng.choice([0, rng.randint(-300, 300) or -1]) << shift
         r = rng.choice([-1, 1]) * rng.randint(1, 400)
         d = rng.choice(radicands)
-        if i % 3 == 0:  # cf_expand's form: d * b^2 * scale^2 with b = 1
+        if i % 3 == 0:  # the normal form's shape: b = 1, d with square factors
             d, b = d * rng.randint(1, 50) ** 2 * rng.randint(1, 30) ** 2, 1
         k = floor_surd(a, b, d, r)
         assert _floor_oracle_holds(a, b, d, r, k), (a, b, d, r, k)

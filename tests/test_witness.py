@@ -176,3 +176,19 @@ def test_fit_witness_matches_doubling_search(spec):
 def test_witness_rejects_c_max_below_one(c_max):
     with pytest.raises(ValueError):
         fit_witness(SQRT2, PSI, 1000, c_max=c_max)
+
+
+@pytest.mark.parametrize("spec", FIT_GAMMAS)
+def test_check_points_are_convergent_denominators(spec):
+    from kglab.cli import parse_gamma
+    from kglab.witness import EXHAUSTIVE_Q, check_points
+
+    g = parse_gamma(spec)
+    cf = cf_expand(g)
+    dens = [q for _, q in convergents(cf.a0, cf.quotients(60))]
+    first_past_guard = next(q for q in dens if q > EXHAUSTIVE_Q)
+    for q_max in (2, 70, 3000, 10 ** 5, first_past_guard):
+        assert dens[-1] > q_max
+        want = set(range(1, min(EXHAUSTIVE_Q, q_max) + 1))
+        want.update(q for q in dens if q <= q_max)
+        assert check_points(g, q_max) == sorted(want), q_max
