@@ -47,7 +47,8 @@ shells 1..min(Q, 300); at min(Q, 300) the table's report terms against
 ``main_term`` in both modes and ``chi_term``, for this psi and for 1/(2q);
 ``variance_full`` at Q <= 3 and two order windows of norm <= 4 against the
 all-pairs ``variance_bruteforce``; every sweep row at Q = 8 against
-``overlap_sweep_oracle`` and ``lemma3_bound``, for four psi and four gamma.
+``overlap_sweep_oracle`` and the Lemma 3 bound written out in Fractions, for
+four psi and four gamma.
 Exits 1 on any mismatch.  --json writes {"Q", "repeats", "count",
 "variance", "provenance"} to a file, the provenance naming the checkout of
 the imported ``kglab``.
@@ -76,7 +77,7 @@ from kglab.lattice import LatticeVector, shell
 from kglab.psifunc import PowerLaw, TablePsi, eval_psi
 from kglab.rng import RngStream
 from kglab.surd import QuadraticSurd, surd_eval
-from kglab.torus import (TorusSet1D, as_shift, lemma3_bound, overlap_1d_num,
+from kglab.torus import (TorusSet1D, as_shift, overlap_1d_num,
                          overlap_sweep_oracle)
 from kglab.variance import (SweepSummary, _lift, _pair_sum, _whole_pairs,
                             sweep_classes,
@@ -285,7 +286,7 @@ def sweep_mismatches() -> list[str]:
                 sign = 1 if row.rel == "same" else -1
                 ov = overlap_sweep_oracle(TorusSet1D(row.d, shift, pq),
                                           TorusSet1D(row.e, sign * shift, pr))
-                bound = lemma3_bound(pq, pr, row.d, row.e)
+                bound = 4 * pq * pr + 4 * (pq / row.d) * gcd(row.d, row.e)
                 if row.r > row.threshold:
                     want = (None, "zero-confirmed" if ov == 0 else "VIOLATION")
                 else:

@@ -21,7 +21,6 @@ from .torus import (
     overlap_2d_grid_oracle,
     overlap_exact_1d,
     overlap_sweep_oracle,
-    parallel_overlap_bound,
 )
 
 __all__ = [
@@ -57,5 +56,4 @@ __all__ = [
     "overlap_2d_grid_oracle",
     "overlap_exact_1d",
     "overlap_sweep_oracle",
-    "parallel_overlap_bound",
 ]

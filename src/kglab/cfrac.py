@@ -74,11 +74,12 @@ def cf_quotients(gamma: QuadraticSurd
         yield ai, (p, q)
 
 
-def cf_expand(gamma: QuadraticSurd, k: int | None = None) -> CFExpansion:
+def cf_expand(gamma: QuadraticSurd, k: int | None = None
+              ) -> CFExpansion | None:
     """Exact continued-fraction expansion of an irrational quadratic surd.
 
-    Returns the full eventually-periodic form; ``k`` bounds the number of
-    quotients computed before giving up (safety valve, default 10000).
+    Returns the full eventually-periodic form, or None when no period shows
+    within ``k`` quotients (safety valve, default 10000).
     """
     limit = 10000 if k is None else max(k, 4)
     quots: list[int] = []
@@ -90,7 +91,7 @@ def cf_expand(gamma: QuadraticSurd, k: int | None = None) -> CFExpansion:
             return CFExpansion(quots[0], tuple(quots[1:start]),
                                tuple(quots[start:]))
         seen[state] = len(quots)
-    raise ValueError(f"no period detected within {limit} quotients")
+    return None
 
 
 def cf_to_surd(cf: CFExpansion) -> QuadraticSurd:

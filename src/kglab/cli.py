@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -20,22 +21,24 @@ from fractions import Fraction
 from math import gcd
 
 from . import __version__
-from .cfrac import CFExpansion, cf_expand, cf_to_surd, convergents, make_liouville
+from .cfrac import (CFExpansion, cf_expand, cf_quotients, cf_to_surd,
+                    convergents, make_liouville)
 from .counting import (CountReport, CountTable, check_precision_range,
                        count_by_thresholds, make_report)
 from .fixedpoint import DEFAULT_SCALE_BITS, MIN_SCALE_BITS, PrecisionError
-from .lattice import LatticeVector, gcd_power_sum, gcd_power_sum_sweep, primorials
+from .lattice import (LatticeVector, canonical, gcd_power_sum,
+                      gcd_power_sum_sweep, primorials)
 from .psifunc import (ApproxFunction, Clamp, PowerLaw, TablePsi, Window,
-                      hausdorff_exponent, hausdorff_partial_sum)
+                      eval_psi, hausdorff_exponent, hausdorff_partial_sum)
 from .rng import ALGORITHM_ID, RngStream, derive_seed
 from .surd import QuadraticSurd
-from .torus import (TorusSet1D, is_parallel, overlap_2d,
-                    overlap_2d_grid_oracle, overlap_exact_1d,
-                    overlap_sweep_oracle, parallel_overlap_bound)
+from .torus import (TorusSet1D, as_shift, is_parallel, lemma3_class,
+                    over_unit, overlap_2d, overlap_2d_grid_oracle,
+                    overlap_exact_1d, overlap_sweep_oracle)
 from .variance import (SweepRow, SweepSummary, sweep_classes, variance_full,
                        variance_window)
 from .witness import (ETA_MAX_DEFAULT, NonLiouvilleWitness, WitnessFitFailure,
-                      fit_witness)
+                      fit_witness, vanish_threshold)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -530,16 +533,23 @@ def cmd_overlap(args: argparse.Namespace) -> int:
             except ValueError:
                 w = None  # psi without a decaying power-law core: no bound
             if isinstance(w, NonLiouvilleWitness):
-                res = parallel_overlap_bound(qv, rv, psi, w)
-                record["parallel_bound_kind"] = res.kind
-                record["vanish_threshold"] = res.threshold
-                if res.kind == "zero":
-                    if value != 0:
-                        record["status"] = "VANISH-VIOLATION"
-                else:
-                    record["parallel_bound"] = str(res.value)
-                    if value > res.value:
-                        record["status"] = "BOUND-VIOLATION"
+                # q = s1*d*P and r = s2*e*P with e < d, as in overlap_2d
+                d, _, s1 = canonical(qv.q1, qv.q2)
+                e, _, s2 = canonical(rv.q1, rv.q2)
+                thr = vanish_threshold(w, d)
+                (pn, rn, a), u = over_unit(eval_psi(psi, qv.norm),
+                                           eval_psi(psi, rv.norm),
+                                           as_shift(gamma, scale_bits))
+                vanishes = rv.norm > thr
+                bnum, _, same_ok, _, opp_ok = lemma3_class(d, pn, e, rn, a, u,
+                                                           vanishes)
+                record["parallel_bound_kind"] = "zero" if vanishes else "bound"
+                record["vanish_threshold"] = thr
+                if not vanishes:
+                    record["parallel_bound"] = fraction_text(bnum, d * u * u)
+                if not (same_ok if s1 == s2 else opp_ok):
+                    record["status"] = ("VANISH-VIOLATION" if vanishes
+                                        else "BOUND-VIOLATION")
     else:
         raise ConfigError("need either --set-a/--set-b or --q/--r")
 
@@ -599,17 +609,23 @@ def cmd_gcdsum(args: argparse.Namespace) -> int:
 def cmd_cf(args: argparse.Namespace) -> int:
     spec = args.gamma
     kind, _, rest = spec.partition(":")
-    if kind == "liouville":
-        cf = make_liouville(int(rest))
-    else:
-        cf = cf_expand(parse_gamma(spec))
     terms = int(args.terms)
-    quots = cf.quotients(terms)
-    convs = convergents(cf.a0, quots)
+    if kind == "liouville":
+        # the expansion as built: the surd of liouville:7 takes ~20 s
+        cf = make_liouville(int(rest))
+        a0, quots = cf.a0, cf.quotients(terms)
+    else:
+        gamma = parse_gamma(spec)
+        cf = cf_expand(gamma)
+        if terms < 0:
+            raise ValueError("need k >= 0")
+        a0, *quots = (a for a, _ in itertools.islice(cf_quotients(gamma),
+                                                      terms + 1))
+    convs = convergents(a0, quots)
     emit_document(args, {
-        "a0": cf.a0,
-        "preperiod": list(cf.preperiod),
-        "period": list(cf.period),
+        "a0": a0,
+        "preperiod": None if cf is None else list(cf.preperiod),
+        "period": None if cf is None else list(cf.period),
         "quotients": [str(a) for a in quots],
         "convergents": [{"p": str(p), "q": str(q)} for p, q in convs],
     })

@@ -26,6 +26,12 @@ is the one Fraction form.  ``overlap_2d_grid_oracle`` estimates a 2-D
 overlap from the cell centers of an R x R grid, counted exactly with one
 int bitmask per grid row and set.
 
+The refined parallel-overlap estimate (Lemma 3) is checked beside the
+kernel, in integers over the same unit, by ``lemma3_class``: a class's
+overlaps at both relative signs must be 0 beyond the vanish threshold and
+at most the bound ``lemma3_bound_num`` below it.  The sweep and ``kglab
+overlap`` both take their verdicts from it.
+
 Irrational shifts enter through their fixed-point representatives, so all
 arithmetic below is exact rational arithmetic.
 """
@@ -40,7 +46,6 @@ from .fixedpoint import DEFAULT_SCALE_BITS, FixedPoint
 from .lattice import LatticeVector, canonical
 from .psifunc import HALF, ApproxFunction, eval_psi
 from .surd import QuadraticSurd
-from .witness import NonLiouvilleWitness, vanish_threshold
 
 
 def as_shift(x, scale_bits: int = DEFAULT_SCALE_BITS) -> Fraction:
@@ -135,20 +140,21 @@ def overlap_1d_num(d: int, t1n: int, e: int, t2n: int, an: int, bn: int,
     return plus, minus
 
 
+def over_unit(*xs: Fraction) -> tuple[list[int], int]:
+    """(nums, u): u the lcm of the denominators of xs, and each x as
+    nums[i]/u."""
+    u = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (u // x.denominator) for x in xs], u
+
+
 def overlap_exact_1d(A: TorusSet1D, B: TorusSet1D) -> Fraction:
     """lambda_1(A intersect B): the trapezoid overlap of each arc pair,
     summed over the arithmetic progression of arc-centre gaps as a few
     ramp series in closed form (the ``plus`` of ``overlap_1d_num``, with
     both radii and both shifts over u, the lcm of their four denominators,
     as one Fraction)."""
-    u = lcm(A.t.denominator, B.t.denominator,
-            A.shift.denominator, B.shift.denominator)
-
-    def over_u(x: Fraction) -> int:
-        return x.numerator * (u // x.denominator)
-
-    plus, _ = overlap_1d_num(A.d, over_u(A.t), B.d, over_u(B.t),
-                             over_u(A.shift), over_u(B.shift), u)
+    (t1n, t2n, an, bn), u = over_unit(A.t, B.t, A.shift, B.shift)
+    plus, _ = overlap_1d_num(A.d, t1n, B.d, t2n, an, bn, u)
     return Fraction(plus, lcm(A.d, B.d) * u)
 
 
@@ -321,22 +327,7 @@ def overlap_2d_grid_oracle(q_vec, r_vec, psi: ApproxFunction, gamma,
     return estimate, bound
 
 
-# -- the refined parallel-overlap bound ----------------------------------------
-
-
-@dataclass(frozen=True)
-class ParallelBoundResult:
-    """Either a proof of zero overlap or the explicit bound value."""
-
-    kind: str  # 'zero' | 'bound'
-    threshold: int
-    value: Fraction | None
-    d: int
-    e: int
-
-    @property
-    def provably_zero(self) -> bool:
-        return self.kind == "zero"
+# -- the Lemma 3 check ---------------------------------------------------------
 
 
 def lemma3_bound_num(pn: int, rn: int, td: int, d: int, e: int) -> int:
@@ -346,32 +337,23 @@ def lemma3_bound_num(pn: int, rn: int, td: int, d: int, e: int) -> int:
     return 4 * pn * (rn * d + td * gcd(d, e))
 
 
-def lemma3_bound(pq: Fraction, pr: Fraction, d: int, e: int) -> Fraction:
-    """``lemma3_bound_num`` as a Fraction, given pq = psi(q) and
-    pr = psi(r)."""
-    td = lcm(pq.denominator, pr.denominator)
-    pn = pq.numerator * (td // pq.denominator)
-    rn = pr.numerator * (td // pr.denominator)
-    return Fraction(lemma3_bound_num(pn, rn, td, d, e), d * td * td)
+def lemma3_class(d: int, pn: int, e: int, rn: int, a: int, u: int,
+                 vanishes: bool) -> tuple[int | None, int, bool, int, bool]:
+    """(bnum, same, same_ok, opp, opp_ok): Lemma 3 for one parallel class,
+    multipliers d > e along one direction with psi(q) = pn/u, psi(r) = rn/u
+    and the shift a/u.
 
-
-def parallel_overlap_bound(q_vec, r_vec, psi: ApproxFunction,
-                           w: NonLiouvilleWitness) -> ParallelBoundResult:
-    """Vanishing certificate / bound for a parallel pair with |r| < |q|.
-
-    Zero when |r| exceeds the vanish threshold for d = gcd(q); otherwise
-    the Lemma 3 bound.
+    One ``overlap_1d_num`` call gives the overlaps at the same and at the
+    opposite relative sign, same and opp over lcm(d, e)*u.  When
+    ``vanishes`` (|r| lies beyond the vanish threshold of d) bnum is None
+    and an overlap is ok iff it is 0; otherwise bnum is the bound over
+    d*u**2 (``lemma3_bound_num``) and an overlap is ok iff it is at most
+    the bound, overlap*d*u <= bnum*lcm(d, e).
     """
-    q, r = _as_vec(q_vec), _as_vec(r_vec)
-    if not is_parallel(q, r):
-        raise ValueError("bound applies to parallel pairs only")
-    if not r.norm < q.norm:
-        raise ValueError("need |r| < |q|")
-    if not w.analytic and w.q_max < q.norm:
-        raise ValueError(f"witness certified only up to q_max={w.q_max}")
-    d, e = q.g, r.g
-    thr = vanish_threshold(w, d)
-    if r.norm > thr:
-        return ParallelBoundResult("zero", thr, None, d, e)
-    value = lemma3_bound(eval_psi(psi, q.norm), eval_psi(psi, r.norm), d, e)
-    return ParallelBoundResult("bound", thr, value, d, e)
+    same, opp = overlap_1d_num(d, pn, e, rn, a, a, u)
+    if vanishes:
+        return None, same, same == 0, opp, opp == 0
+    bnum = lemma3_bound_num(pn, rn, u, d, e)
+    b_scaled = bnum * lcm(d, e)
+    du = d * u
+    return bnum, same, same * du <= b_scaled, opp, opp * du <= b_scaled

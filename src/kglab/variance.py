@@ -28,9 +28,10 @@ variance sum scales each by L // ((m/G)*(n/G)) and multiplies the total
 by u once, so that it lies over L*u**2 with the products of measures (the
 measure fields are over u); ``n_overlap_evals`` counts the signed pair
 overlaps from the direction-class bounds, and each report field is built
-as one Fraction at the end.  The sweep takes each overlap as the kernel
-gives it and compares it with its Lemma 3 bound (an integer over d*u**2)
-by cross-multiplication.
+as one Fraction at the end.  The sweep reads each class's verdict from
+``torus.lemma3_class``, which makes the one kernel call and compares both
+overlaps, as the kernel gives them, with the Lemma 3 bound (an integer
+over d*u**2) by cross-multiplication.
 Its one decision loop, ``sweep_classes``, yields these numerators and
 denominators per class and builds one Fraction, the largest overlap/bound
 ratio.  Two consumers format them: ``vanishing_bound_sweep`` as
@@ -51,8 +52,8 @@ from typing import NamedTuple
 from .fixedpoint import DEFAULT_SCALE_BITS
 from .lattice import LatticeVector, canonical, shell_coords, shell_size
 from .psifunc import ApproxFunction, eval_psi, psi_table
-from .torus import (as_shift, lemma3_bound, lemma3_bound_num, overlap_1d_num,
-                    overlap_2d)
+from .torus import (as_shift, lemma3_bound_num, lemma3_class, over_unit,
+                    overlap_1d_num, overlap_2d)
 from .witness import NonLiouvilleWitness, vanish_threshold
 
 
@@ -333,7 +334,7 @@ def sweep_classes(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
                   ) -> Iterator[tuple]:
     """The sweep's one decision loop: check every parallel pair class with
     |r| < |q| <= Q against the vanishing threshold and the overlap bound,
-    in both relative signs, all in integers.
+    in both relative signs, all in integers (``lemma3_class``).
 
     A class is (direction norm, d, e): the overlap does not depend on which
     of the 4*phi(n) primitive directions of norm n carries the pair.  For
@@ -365,24 +366,18 @@ def sweep_classes(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
             du = d * u
             for e in range(1, d):
                 r_norm = e * np_
-                # ov = raw/(m*u) with m = lcm(d, e) and bound =
-                # bnum/(d*u**2), so ov <= bound  <=>  raw*d*u <= bnum*m
+                bnum, same, same_ok, opp, opp_ok = lemma3_class(
+                    d, pn, e, rho[r_norm], a, u, r_norm > thr)
                 m = lcm(d, e)
-                same, opp = overlap_1d_num(d, pn, e, rho[r_norm], a, a, u)
-                if r_norm > thr:
-                    bnum = None
-                    s_same = "zero-confirmed" if same == 0 else "VIOLATION"
-                    s_opp = "zero-confirmed" if opp == 0 else "VIOLATION"
-                else:
-                    bnum = lemma3_bound_num(pn, rho[r_norm], u, d, e)
+                word = "zero-confirmed" if bnum is None else "bound-satisfied"
+                if bnum:
+                    # ov = raw/(m*u), so ov/bound = raw*d*u / (bnum*m)
                     b_scaled = bnum * m
-                    s_same = ("bound-satisfied" if same * du <= b_scaled
-                              else "VIOLATION")
-                    s_opp = ("bound-satisfied" if opp * du <= b_scaled
-                             else "VIOLATION")
                     n_scaled = max(same, opp) * du
-                    if bnum > 0 and n_scaled * best_den > best_num * b_scaled:
+                    if n_scaled * best_den > best_num * b_scaled:
                         best_num, best_den = n_scaled, b_scaled
+                s_same = word if same_ok else "VIOLATION"
+                s_opp = word if opp_ok else "VIOLATION"
                 tally[s_same] += 1
                 tally[s_opp] += 1
                 yield (d, e, r_norm, q_norm, thr, bnum, bden, m * u,
@@ -442,5 +437,6 @@ def highdim_bound_check(q: int, r: int, psi: ApproxFunction, m: int,
         raise ValueError("need r < q")
     if m < 1:
         raise ValueError("m must be >= 1")
-    base = lemma3_bound(eval_psi(psi, q), eval_psi(psi, r), q, r)
+    (pn, rn), td = over_unit(eval_psi(psi, q), eval_psi(psi, r))
+    base = Fraction(lemma3_bound_num(pn, rn, td, q, r), q * td * td)
     return HighDimBound(base=base, m=m, value=base ** m)

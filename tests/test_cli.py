@@ -3,6 +3,7 @@ import concurrent.futures
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import stat
@@ -15,12 +16,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kglab import cli
+from kglab import cli, torus
 from kglab.cli import (EXIT_CONFIG, EXIT_FAIL, EXIT_OK, EXIT_PRECISION,
                        Output, build_parser, fraction_text, main, parse_gamma,
                        parse_psi, parse_qlist, parse_set1d)
+from kglab.cfrac import cf_expand, cf_quotients, convergents
+from kglab.lattice import LatticeVector
 from kglab.psifunc import Clamp, PowerLaw, TablePsi, Window, psi_mantissas
 from kglab.surd import QuadraticSurd
+from kglab.torus import is_parallel, overlap_2d
 from kglab.variance import vanishing_bound_sweep
 from kglab.witness import NonLiouvilleWitness, fit_witness
 
@@ -571,12 +575,21 @@ def test_sweep_bad_q_names_the_flag(tmp_path, capsys, q, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-def test_cf_period_limit_exits_2(tmp_path, capsys):
-    # the period of sqrt(100000000000031) is longer than cf_expand's limit
-    code, body = run(tmp_path, "cf", "--gamma", "sqrt:100000000000031")
-    assert (code, body) == (EXIT_CONFIG, b"")
-    assert capsys.readouterr().err == (
-        "config error: no period detected within 10000 quotients\n")
+def test_cf_past_period_limit_exits_0(tmp_path):
+    # the period of sqrt(100000000000031) is longer than cf_expand's limit,
+    # so the period fields are null, but the quotients asked for come out
+    gamma = QuadraticSurd.sqrt(100000000000031)
+    assert cf_expand(gamma) is None
+    code, body = run(tmp_path, "cf", "--gamma", "sqrt:100000000000031",
+                     "--terms", "10")
+    assert code == EXIT_OK
+    doc = json.loads(body)
+    a0, *quots = (a for a, _ in itertools.islice(cf_quotients(gamma), 11))
+    assert doc["a0"] == a0
+    assert doc["quotients"] == [str(a) for a in quots]
+    assert doc["convergents"] == [{"p": str(p), "q": str(q)}
+                                  for p, q in convergents(a0, quots)]
+    assert doc["preperiod"] is None and doc["period"] is None
 
 
 # gamma with a 120-bit discriminant, and one whose period is too long to
@@ -792,6 +805,51 @@ def test_sweep_cells_every_status(tmp_path, monkeypatch):
     assert {row.status for row in rows} == {"zero-confirmed",
                                             "bound-satisfied", "VIOLATION"}
     assert any(a.status != b.status for a, b in zip(rows[::2], rows[1::2]))
+
+
+# overlap's Lemma 3 verdict against the lemma3-sweep row of the same class,
+# for every parallel pair with |r| < |q| <= 8 at both relative signs, gamma
+# sqrt(2) and psi 1/4 q^-1/2.  Under a witness that sqrt(2) does not satisfy
+# (c = 1/1000: threshold 1 for every d <= 31) the nonzero overlaps beyond it
+# are VANISH-VIOLATIONs; under one no class exceeds, with the bound set to
+# 0, every nonzero overlap is a BOUND-VIOLATION.
+@pytest.mark.parametrize("w, zero_bound, violation", [
+    (NonLiouvilleWitness(1, Fraction(1, 1000), Fraction(1, 2), Fraction(1),
+                         12, analytic=True), False, "VANISH-VIOLATION"),
+    (NonLiouvilleWitness(1, Fraction(3), Fraction(1, 2), Fraction(1, 2), 12,
+                         analytic=True), True, "BOUND-VIOLATION"),
+], ids=["vanish", "bound"])
+def test_overlap_violations_match_sweep(tmp_path, monkeypatch, w, zero_bound,
+                                        violation):
+    monkeypatch.setattr(cli, "fit_witness", lambda *args, **kwargs: w)
+    if zero_bound:
+        monkeypatch.setattr(torus, "lemma3_bound_num", lambda *args: 0)
+    psi = PowerLaw(Fraction(1, 4), Fraction(1, 2))
+    rows, _ = vanishing_bound_sweep(8, psi, w, SQRT2)
+    sweep = {(row.d, row.e, row.r, row.rel): row for row in rows}
+    vecs = [LatticeVector(a, b) for a in range(-8, 9) for b in range(-8, 9)
+            if a or b]
+    statuses = set()
+    for qv in vecs:
+        for rv in vecs:
+            if not (is_parallel(qv, rv) and rv.norm < qv.norm):
+                continue
+            code, body = run(tmp_path, "overlap", "--q", f"{qv.q1},{qv.q2}",
+                             "--r", f"{rv.q1},{rv.q2}", "--psi", "pow:1/4,1/2",
+                             "--gamma", "sqrt:2")
+            rec = json.loads(body)["result"]
+            rel = "same" if qv.q1 * rv.q1 + qv.q2 * rv.q2 > 0 else "opp"
+            row = sweep[qv.g, rv.g, rv.norm, rel]
+            assert rec["value"] == str(overlap_2d(qv, rv, psi, SQRT2)[0])
+            assert rec["value"] == str(row.overlap)
+            assert rec["vanish_threshold"] == row.threshold
+            assert rec.get("parallel_bound") == (
+                None if row.bound is None else str(row.bound))
+            ok = row.status != "VIOLATION"
+            assert code == (EXIT_OK if ok else EXIT_FAIL)
+            assert rec["status"] == ("ok" if ok else violation)
+            statuses.add(rec["status"])
+    assert statuses == {"ok", violation}
 
 
 @settings(max_examples=300, deadline=None)

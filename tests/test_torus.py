@@ -1,17 +1,17 @@
 import random
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kglab.psifunc import PowerLaw, TablePsi, eval_psi
 from kglab.surd import QuadraticSurd
-from kglab.torus import (TorusSet1D, as_shift, measure_2d, overlap_2d,
-                         overlap_1d_num, overlap_2d_grid_oracle,
-                         overlap_exact_1d, overlap_sweep_oracle,
-                         parallel_overlap_bound)
-from kglab.witness import NonLiouvilleWitness
+from kglab.lattice import canonical
+from kglab.torus import (TorusSet1D, as_shift, lemma3_class, measure_2d,
+                         overlap_2d, overlap_1d_num, overlap_2d_grid_oracle,
+                         overlap_exact_1d, overlap_sweep_oracle)
+from kglab.witness import NonLiouvilleWitness, vanish_threshold
 
 SQRT2 = QuadraticSurd.sqrt(2)
 PSI_CONST = PowerLaw(F(1, 10), F(0))
@@ -201,33 +201,86 @@ def test_grid_oracle_keeps_resolution_floor():
         overlap_2d_grid_oracle((1, 0), (0, 1), PSI_CONST, SQRT2, 99)
 
 
-class TestParallelBound:
+def class_verdict(q_vec, r_vec, psi, w):
+    """``lemma3_class`` for a parallel pair with |r| < |q| and gamma sqrt(2)
+    at 192 bits, as ``kglab overlap`` calls it: (bound or None, overlap at
+    the pair's relative sign, its ok)."""
+    d, _, s1 = canonical(*q_vec)
+    e, _, s2 = canonical(*r_vec)
+    qn, rn = max(map(abs, q_vec)), max(map(abs, r_vec))
+    pq, pr, shift = eval_psi(psi, qn), eval_psi(psi, rn), as_shift(SQRT2)
+    u = lcm(pq.denominator, pr.denominator, shift.denominator)
+    bnum, same, same_ok, opp, opp_ok = lemma3_class(
+        d, pq.numerator * (u // pq.denominator), e,
+        pr.numerator * (u // pr.denominator),
+        shift.numerator * (u // shift.denominator), u,
+        rn > vanish_threshold(w, d))
+    ov, ok = (same, same_ok) if s1 == s2 else (opp, opp_ok)
+    return (None if bnum is None else F(bnum, d * u * u),
+            F(ov, lcm(d, e) * u), ok)
+
+
+class TestLemma3Class:
     def test_provably_zero_case(self):
         # d = gcd(q) = 2, threshold 64; r norm 65 exceeds it
-        res = parallel_overlap_bound((2, 130), (1, 65), PSI_ROOT, W_SQRT2)
-        assert res.provably_zero and res.threshold == 64
-        v, _ = overlap_2d((2, 130), (1, 65), PSI_ROOT, SQRT2)
-        assert v == 0
+        assert vanish_threshold(W_SQRT2, 2) == 64
+        bound, ov, ok = class_verdict((2, 130), (1, 65), PSI_ROOT, W_SQRT2)
+        assert bound is None and ov == 0 and ok
+        assert overlap_2d((2, 130), (1, 65), PSI_ROOT, SQRT2)[0] == ov
 
     def test_bound_value_shape(self):
-        res = parallel_overlap_bound((2, 10), (1, 5), PSI_ROOT, W_SQRT2)
-        assert res.kind == "bound"
+        bound, _, ok = class_verdict((2, 10), (1, 5), PSI_ROOT, W_SQRT2)
         pq, pr = PSI_ROOT(10), PSI_ROOT(5)
-        assert res.value == 4 * pq * pr + 4 * (pq / 2) * 1
+        assert bound == 4 * pq * pr + 4 * (pq / 2) * 1 and ok
 
     def test_bound_dominates_overlap(self):
         for q_vec, r_vec in (((2, 10), (1, 5)), ((4, 8), (1, 2)),
-                             ((0, 9), (0, 3))):
-            res = parallel_overlap_bound(q_vec, r_vec, PSI_ROOT, W_SQRT2)
-            v, _ = overlap_2d(q_vec, r_vec, PSI_ROOT, SQRT2)
-            if res.provably_zero:
-                assert v == 0
-            else:
-                assert v <= res.value
+                             ((0, 9), (0, 3)), ((-4, 8), (1, -2)),
+                             ((6, -3), (2, -1))):
+            bound, ov, ok = class_verdict(q_vec, r_vec, PSI_ROOT, W_SQRT2)
+            assert ov == overlap_2d(q_vec, r_vec, PSI_ROOT, SQRT2)[0]
+            assert ok and (ov == 0 if bound is None else ov <= bound)
 
-    def test_rejects_nonparallel(self):
-        with pytest.raises(ValueError):
-            parallel_overlap_bound((2, 10), (1, 6), PSI_ROOT, W_SQRT2)
+
+# lemma3_class against the endpoint-sweep oracle at both relative signs and
+# against the bound written out in Fractions: d > e with d <= 30, radii k/48
+# (0 and 1/2 among them), rational shifts and the 192-bit floor of sqrt(2),
+# each class both below and beyond a threshold, over the least unit and a
+# multiple of it
+LEMMA3_SHIFTS = [F(0), F(1, 2), F(1, 3), F(-5, 7), F(7, 12), as_shift(SQRT2)]
+
+
+@pytest.mark.parametrize("shift", LEMMA3_SHIFTS, ids=str)
+def test_lemma3_class_matches_oracles(shift):
+    rng = random.Random(str(shift))
+    ends = [0, 24]
+    for d in range(2, 31):
+        for e in range(1, d):
+            radii = [(rng.choice(ends), rng.randint(0, 24)),
+                     (rng.randint(0, 24), rng.choice(ends)),
+                     (rng.randint(0, 24), rng.randint(0, 24))]
+            for k1, k2 in radii:
+                pq, pr = F(k1, 48), F(k2, 48)
+                bound = 4 * pq * pr + 4 * (pq / d) * gcd(d, e)
+                same_ov = overlap_sweep_oracle(TorusSet1D(d, shift, pq),
+                                               TorusSet1D(e, shift, pr))
+                opp_ov = overlap_sweep_oracle(TorusSet1D(d, shift, pq),
+                                              TorusSet1D(e, -shift, pr))
+                u = lcm(48, shift.denominator) * rng.choice((1, 3))
+                a = shift.numerator * (u // shift.denominator)
+                for vanishes in (True, False):
+                    bnum, same, same_ok, opp, opp_ok = lemma3_class(
+                        d, k1 * (u // 48), e, k2 * (u // 48), a, u, vanishes)
+                    assert F(same, lcm(d, e) * u) == same_ov
+                    assert F(opp, lcm(d, e) * u) == opp_ov
+                    if vanishes:
+                        assert bnum is None
+                        assert (same_ok, opp_ok) == (same_ov == 0,
+                                                     opp_ov == 0)
+                    else:
+                        assert F(bnum, d * u * u) == bound
+                        assert (same_ok, opp_ok) == (same_ov <= bound,
+                                                     opp_ov <= bound)
 
 
 SHIFTS = st.one_of(st.builds(F, st.integers(-12, 12), st.integers(1, 12)),

@@ -11,8 +11,8 @@ from kglab.fixedpoint import DEFAULT_SCALE_BITS
 from kglab.lattice import LatticeVector, shell
 from kglab.psifunc import PowerLaw, TablePsi, eval_psi
 from kglab.surd import QuadraticSurd
-from kglab.torus import (TorusSet1D, as_shift, lemma3_bound, measure_2d,
-                         overlap_1d_num, overlap_2d, overlap_sweep_oracle)
+from kglab.torus import (TorusSet1D, as_shift, measure_2d, overlap_1d_num,
+                         overlap_2d, overlap_sweep_oracle)
 from kglab.variance import (SweepSummary, _lift, highdim_bound_check,
                             vanishing_bound_sweep, variance_bruteforce,
                             variance_full, variance_window, window_boundary)
@@ -363,7 +363,6 @@ def test_sweep_rows_match_oracles(psi, gamma):
         sign = 1 if rel == "same" else -1
         pq, pr = eval_psi(psi, q), eval_psi(psi, r)
         bound = 4 * pq * pr + 4 * (pq / d) * gcd(d, e)
-        assert lemma3_bound(pq, pr, d, e) == bound
         oracle[q, r, rel] = (
             overlap_sweep_oracle(TorusSet1D(d, shift, pq),
                                  TorusSet1D(e, sign * shift, pr)), bound)
