@@ -30,9 +30,11 @@ gamma = sqrt(2):
   sweep     ``vanishing_bound_sweep`` with its rows and without
             (``collect_rows=False``), witness fitted as the CLI fits it;
   sweep_cells
-            every cell (bound, same, opp) of that sweep's ``sweep_classes``
-            tuples through ``cli.fraction_text``, as ``kglab lemma3-sweep``
-            formats them; the tuples are collected first, so the decision
+            the per-pair cell conversion of that sweep: ``sweep_classes``
+            converts three cells (bound, same, opp) once per norm pair, not
+            per class, and each goes through ``cli.fraction_text`` as in
+            ``kglab lemma3-sweep``; a converter that only records its
+            (numerator, denominator) collects them first, so the decision
             loop is not timed;
   sweep_cli the whole in-process ``kglab lemma3-sweep`` run with the same
             psi and gamma, CSV written to a temporary file, and the peak RSS
@@ -232,17 +234,17 @@ def variance_layers(Q: int, repeats: int, peak_rss: float,
             Q, VAR_PSI, w, GAMMA, collect_rows=rows))
     print(f"  sweep: Q = {Q}: {out['sweep_rows_s']:8.3f} s with rows, "
           f"{out['sweep_no_rows_s']:.3f} s without")
-    classes = list(sweep_classes(Q, VAR_PSI, w, GAMMA, SCALE, SweepSummary()))
+    cells = []
+    for _ in sweep_classes(Q, VAR_PSI, w, GAMMA, SCALE, SweepSummary(),
+                           lambda n, d: cells.append((n, d))):
+        pass
     text = cli.fraction_text
 
     def run_cells() -> None:
-        for _, _, _, _, _, bnum, bden, oden, same, _, opp, _ in classes:
-            if bnum is not None:
-                text(bnum, bden)
-            text(same, oden)
-            text(opp, oden)
+        for n, d in cells:
+            text(n, d)
 
-    out["sweep_cells"] = sum(2 + (c[5] is not None) for c in classes)
+    out["sweep_cells"] = len(cells)
     out["sweep_cells_s"], _ = best_of(repeats, run_cells)
     print(f"  cells: Q = {Q}: {out['sweep_cells_s']:8.3f} s for "
           f"{out['sweep_cells']} sweep cells")

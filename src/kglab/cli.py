@@ -541,13 +541,13 @@ def cmd_overlap(args: argparse.Namespace) -> int:
                                            eval_psi(psi, rv.norm),
                                            as_shift(gamma, scale_bits))
                 vanishes = rv.norm > thr
-                bnum, _, same_ok, _, opp_ok = lemma3_class(d, pn, e, rn, a, u,
-                                                           vanishes)
+                bnum, _, _, _, zero_ok, bound_ok = lemma3_class(d, pn, e, rn,
+                                                                a, u)
                 record["parallel_bound_kind"] = "zero" if vanishes else "bound"
                 record["vanish_threshold"] = thr
                 if not vanishes:
                     record["parallel_bound"] = fraction_text(bnum, d * u * u)
-                if not (same_ok if s1 == s2 else opp_ok):
+                if not (zero_ok if vanishes else bound_ok)[s1 != s2]:
                     record["status"] = ("VANISH-VIOLATION" if vanishes
                                         else "BOUND-VIOLATION")
     else:
@@ -609,7 +609,12 @@ def cmd_gcdsum(args: argparse.Namespace) -> int:
 def cmd_cf(args: argparse.Namespace) -> int:
     spec = args.gamma
     kind, _, rest = spec.partition(":")
-    terms = int(args.terms)
+    try:
+        terms = int(args.terms)
+    except ValueError as exc:
+        raise ConfigError(f"bad terms {args.terms!r}") from exc
+    if terms < 0:
+        raise ConfigError(f"terms must be >= 0 (got {args.terms!r})")
     if kind == "liouville":
         # the expansion as built: the surd of liouville:7 takes ~20 s
         cf = make_liouville(int(rest))
@@ -617,8 +622,6 @@ def cmd_cf(args: argparse.Namespace) -> int:
     else:
         gamma = parse_gamma(spec)
         cf = cf_expand(gamma)
-        if terms < 0:
-            raise ValueError("need k >= 0")
         a0, *quots = (a for a, _ in itertools.islice(cf_quotients(gamma),
                                                       terms + 1))
     convs = convergents(a0, quots)
@@ -669,23 +672,21 @@ def cmd_vanishing_sweep(args: argparse.Namespace) -> int:
     summary = SweepSummary()
     cols = SweepRow._fields
     out = Output(args.out, args.format, columns=cols)
-    for (d, e, r, q, thr, bnum, bden, oden, same, s_same, opp,
-         s_opp) in sweep_classes(Q, psi, w, gamma, scale_bits, summary):
-        bound = None if bnum is None else fraction_text(bnum, bden)
+    for (d, e, r, q, thr, bound, same, s_same, opp,
+         s_opp) in sweep_classes(Q, psi, w, gamma, scale_bits, summary,
+                                 fraction_text):
         if out.csv:
             # every cell is an int, a reduced fraction or a fixed word, so
             # none needs quoting and the lines skip csv_line
             head = f"{d},{e},{r},{q},{thr},"
             tail = ",," if bound is None else f",{bound},"
-            out.lines.append(f"{head}{fraction_text(same, oden)}{tail}"
-                             f"{s_same},same\r\n")
-            out.lines.append(f"{head}{fraction_text(opp, oden)}{tail}"
-                             f"{s_opp},opp\r\n")
+            out.lines.append(f"{head}{same}{tail}{s_same},same\r\n")
+            out.lines.append(f"{head}{opp}{tail}{s_opp},opp\r\n")
         else:
-            out.row(dict(zip(cols, (d, e, r, q, thr, fraction_text(same, oden),
-                                    bound, s_same, "same"))))
-            out.row(dict(zip(cols, (d, e, r, q, thr, fraction_text(opp, oden),
-                                    bound, s_opp, "opp"))))
+            out.row(dict(zip(cols, (d, e, r, q, thr, same, bound, s_same,
+                                    "same"))))
+            out.row(dict(zip(cols, (d, e, r, q, thr, opp, bound, s_opp,
+                                    "opp"))))
     out.finish(metadata(
         args,
         witness={"eta": w.eta, "c": str(w.c), "C": str(w.C),

@@ -26,11 +26,17 @@ is the one Fraction form.  ``overlap_2d_grid_oracle`` estimates a 2-D
 overlap from the cell centers of an R x R grid, counted exactly with one
 int bitmask per grid row and set.
 
+The kernel takes the three divisions of the radii by the step once per
+call and shares them between the two signs; each sign then costs one
+reduction of its start modulo the step (see ``overlap_1d_num``).
+
 The refined parallel-overlap estimate (Lemma 3) is checked beside the
 kernel, in integers over the same unit, by ``lemma3_class``: a class's
 overlaps at both relative signs must be 0 beyond the vanish threshold and
-at most the bound ``lemma3_bound_num`` below it.  The sweep and ``kglab
-overlap`` both take their verdicts from it.
+at most the bound ``lemma3_bound_num`` below it.  It gives both verdicts,
+so that the sweep evaluates a norm pair once for all of its classes, which
+lie on both sides of the threshold; ``kglab overlap`` takes the one its
+class needs.
 
 Irrational shifts enter through their fixed-point representatives, so all
 arithmetic below is exact rational arithmetic.
@@ -103,40 +109,42 @@ def overlap_1d_num(d: int, t1n: int, e: int, t2n: int, an: int, bn: int,
     with S = g*u and Y = e*an -+ d*bn; both signs share the step and the
     radii R1 = t1n*e and R2 = t2n*d (t1/d and t2/e over CD).  Two arcs at
     gap y overlap in the trapezoid w(y) = r(y+A) - r(y+B) - r(y-B) +
-    r(y-A), with A = R1+R2, B = R1-R2 and r = max(0, .).  Summed over the
-    k <= k_hi = (A - Y) // S, where the last ramp vanishes, each remaining
-    ramp r(y + k*S) is one arithmetic series: with y = q*S + rem
-    (0 <= rem < S) its n = k_hi + 1 + q nonnegative terms are rem,
-    rem + S, ..., so it sums to n*rem + S*n*(n-1)/2.  The three series give
-    the overlap over CD/g = lcm(d, e)*u.  The sum is exact for every t in
-    [0, 1/2]: t = 0 gives w = 0, and the arcs of A(d, 1/2) tile the circle.
+    r(y-A), with A = R1+R2, B = R1-R2 and r = max(0, .).  Only the k <=
+    k_hi = (A - Y) // S count, where the last ramp vanishes (beyond k_hi the
+    four ramps cancel).  Counted down from k_hi, y = A - z - j*S (j >= 0)
+    with z = (A - Y) mod S, so the remaining ramps are r(C - z - j*S) for
+    C = 2A, 2R1 and 2R2, and only z depends on the sign.  Ramp C has the
+    q_C + 1 nonnegative terms j = 0..q_C, q_C = (C - z) // S, which sum to
+    (q_C + 1)*(C - z) - S*q_C*(q_C + 1)/2.  With (Q_C, c_C) = divmod(C, S),
+    taken once for both signs, q_C = Q_C - [z > c_C]: its top term C - z
+    is > -S, so q_C >= -1 (no terms).  Summed with 2A = 2R1 + 2R2, the
+    three series give the overlap over CD/g = lcm(d, e)*u as
+      2*(q1 - q2)*R1 + 2*(q1 - q3)*R2 - (q1 - q2 - q3 - 1)*z
+        - S*(q1*(q1+1) - q2*(q2+1) - q3*(q3+1))/2.
+    The sum is exact for every t in [0, 1/2]: t = 0 gives w = 0, and the
+    arcs of A(d, 1/2) tile the circle.
     """
     S = gcd(d, e) * u
     R1 = t1n * e
     R2 = t2n * d
-    A, B = R1 + R2, R1 - R2
+    A = R1 + R2
+    Q1, c1 = divmod(2 * A, S)
+    Q2, c2 = divmod(2 * R1, S)
+    Q3, c3 = divmod(2 * R2, S)
     ea, db = e * an, d * bn
     # one block per sign, not a loop over Y: the loop took 4-11% longer a call
-    Y = ea - db
-    m = (A - Y) // S + 1
-    q, r1 = divmod(Y + A, S)
-    n1 = m + q
-    q, r2 = divmod(Y + B, S)
-    n2 = m + q
-    q, r3 = divmod(Y - B, S)
-    n3 = m + q
-    plus = (n1 * r1 - n2 * r2 - n3 * r3
-            + S * ((n1 * (n1 - 1) - n2 * (n2 - 1) - n3 * (n3 - 1)) // 2))
-    Y = ea + db
-    m = (A - Y) // S + 1
-    q, r1 = divmod(Y + A, S)
-    n1 = m + q
-    q, r2 = divmod(Y + B, S)
-    n2 = m + q
-    q, r3 = divmod(Y - B, S)
-    n3 = m + q
-    minus = (n1 * r1 - n2 * r2 - n3 * r3
-             + S * ((n1 * (n1 - 1) - n2 * (n2 - 1) - n3 * (n3 - 1)) // 2))
+    z = (A - ea + db) % S
+    q1 = Q1 - (z > c1)
+    q2 = Q2 - (z > c2)
+    q3 = Q3 - (z > c3)
+    plus = (2 * ((q1 - q2) * R1 + (q1 - q3) * R2) - (q1 - q2 - q3 - 1) * z
+            - S * ((q1 * (q1 + 1) - q2 * (q2 + 1) - q3 * (q3 + 1)) // 2))
+    z = (A - ea - db) % S
+    q1 = Q1 - (z > c1)
+    q2 = Q2 - (z > c2)
+    q3 = Q3 - (z > c3)
+    minus = (2 * ((q1 - q2) * R1 + (q1 - q3) * R2) - (q1 - q2 - q3 - 1) * z
+             - S * ((q1 * (q1 + 1) - q2 * (q2 + 1) - q3 * (q3 + 1)) // 2))
     return plus, minus
 
 
@@ -338,22 +346,25 @@ def lemma3_bound_num(pn: int, rn: int, td: int, d: int, e: int) -> int:
 
 
 def lemma3_class(d: int, pn: int, e: int, rn: int, a: int, u: int,
-                 vanishes: bool) -> tuple[int | None, int, bool, int, bool]:
-    """(bnum, same, same_ok, opp, opp_ok): Lemma 3 for one parallel class,
-    multipliers d > e along one direction with psi(q) = pn/u, psi(r) = rn/u
-    and the shift a/u.
+                 ) -> tuple[int, int, int, int, tuple[bool, bool],
+                            tuple[bool, bool]]:
+    """(bnum, m, same, opp, zero_ok, bound_ok): Lemma 3 for one parallel
+    class, multipliers d > e along one direction with psi(q) = pn/u,
+    psi(r) = rn/u and the shift a/u.
 
     One ``overlap_1d_num`` call gives the overlaps at the same and at the
-    opposite relative sign, same and opp over lcm(d, e)*u.  When
-    ``vanishes`` (|r| lies beyond the vanish threshold of d) bnum is None
-    and an overlap is ok iff it is 0; otherwise bnum is the bound over
-    d*u**2 (``lemma3_bound_num``) and an overlap is ok iff it is at most
-    the bound, overlap*d*u <= bnum*lcm(d, e).
+    opposite relative sign, same and opp over m*u, m = lcm(d, e).  Where
+    psi is 0 at either norm that set is a finite set of points, so both
+    overlaps are 0 and no call is made.  bnum is the bound over d*u**2
+    (``lemma3_bound_num``).  Each verdict is a pair (same sign, opposite
+    sign): beyond the vanish threshold of d an overlap is ok iff it is 0
+    (zero_ok), below it iff it is at most the bound, overlap*d*u <=
+    bnum*lcm(d, e) (bound_ok).
     """
-    same, opp = overlap_1d_num(d, pn, e, rn, a, a, u)
-    if vanishes:
-        return None, same, same == 0, opp, opp == 0
+    same, opp = overlap_1d_num(d, pn, e, rn, a, a, u) if pn and rn else (0, 0)
+    m = lcm(d, e)
     bnum = lemma3_bound_num(pn, rn, u, d, e)
-    b_scaled = bnum * lcm(d, e)
+    b_scaled = bnum * m
     du = d * u
-    return bnum, same, same * du <= b_scaled, opp, opp * du <= b_scaled
+    return (bnum, m, same, opp, (same == 0, opp == 0),
+            (same * du <= b_scaled, opp * du <= b_scaled))

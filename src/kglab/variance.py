@@ -28,21 +28,28 @@ variance sum scales each by L // ((m/G)*(n/G)) and multiplies the total
 by u once, so that it lies over L*u**2 with the products of measures (the
 measure fields are over u); ``n_overlap_evals`` counts the signed pair
 overlaps from the direction-class bounds, and each report field is built
-as one Fraction at the end.  The sweep reads each class's verdict from
-``torus.lemma3_class``, which makes the one kernel call and compares both
-overlaps, as the kernel gives them, with the Lemma 3 bound (an integer
-over d*u**2) by cross-multiplication.
-Its one decision loop, ``sweep_classes``, yields these numerators and
-denominators per class and builds one Fraction, the largest overlap/bound
-ratio.  Two consumers format them: ``vanishing_bound_sweep`` as
-Fraction-valued rows, and ``kglab lemma3-sweep`` as output cells, each
-reduced with no Fraction: the powers of two are shifted off, so the one
-gcd runs on the odd parts of numerator and denominator.
+as one Fraction at the end.
+
+The vanishing/bound sweep writes one row per class (direction norm p, d,
+e) and relative sign, but its work is per norm pair too: besides the
+overlaps, the Lemma 3 bound 4*psi(q)*psi(r) + 4*(psi(q)/d)*gcd(d, e) =
+4*psi(q)*psi(r) + 4*psi(q)*gcd(q, r)/q depends only on q = d*p and
+r = e*p.  Its one decision loop, ``sweep_classes``, takes each pair r < q
+once from ``torus.lemma3_class`` at p = 1, where (d, e) = (q, r): one
+kernel call, the bound (an integer over q*u**2) and, by
+cross-multiplication, both verdicts, zero and bound.  Every class of the
+pair reads that record and picks the verdict its threshold calls for; the
+largest overlap/bound ratio is one Fraction at the end.  Its consumers
+pass the converter that makes a pair's three cells once:
+``vanishing_bound_sweep`` Fraction for its rows (none when it collects
+none), and ``kglab lemma3-sweep`` its output cells, each reduced with no
+Fraction: the powers of two are shifted off, so the one gcd runs on the
+odd parts of numerator and denominator.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -331,23 +338,36 @@ class SweepSummary:
 
 def sweep_classes(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
                   gamma, scale_bits: int, summary: SweepSummary,
+                  cell: Callable[[int, int], object] | None = None,
                   ) -> Iterator[tuple]:
     """The sweep's one decision loop: check every parallel pair class with
     |r| < |q| <= Q against the vanishing threshold and the overlap bound,
-    in both relative signs, all in integers (``lemma3_class``).
+    in both relative signs, all in integers.
 
-    A class is (direction norm, d, e): the overlap does not depend on which
-    of the 4*phi(n) primitive directions of norm n carries the pair.  For
-    each class this yields the tuple
+    A class is (direction norm p, d, e): the overlap does not depend on
+    which of the 4*phi(p) primitive directions of norm p carries the pair.
+    Its overlaps and its bound depend only on the norm pair (q, r) =
+    (d*p, e*p) (see the module docstring), so each pair is evaluated once,
+    by ``lemma3_class`` at p = 1, where (d, e) = (q, r), and the record
+    holds both overlaps, the bound and both verdicts, zero and bound.  A
+    pair with gcd(q, r) >= 2 has more classes, at every p dividing it in
+    increasing order; its record waits in ``pending`` until the last one,
+    p = gcd(q, r) (gcd(d, e) = 1), takes it out.  Each class then only
+    picks the zero verdict when r lies beyond the threshold of d, and the
+    bound verdict otherwise; only a class below its threshold can raise
+    the largest overlap/bound ratio.
 
-        (d, e, r, q, threshold, bnum, bden, oden,
-         same, same_status, opp, opp_status)
+    Each pair's three cells, bound over q*u**2 and the same-sign and
+    opposite-sign overlaps over lcm(q, r)*u (u the unit lcm(sd, td) of
+    ``_lift``), are converted once, by ``cell(numerator, denominator)``;
+    with ``cell`` None none is made and every cell is None.  For each class
+    this yields the tuple
 
-    with the bound bnum/bden = bnum/(d*u**2), bnum None beyond the
-    threshold, and the same-sign and opposite-sign overlaps same/oden and
-    opp/oden, oden = lcm(d, e)*u, neither fraction reduced, where u is the
-    unit lcm(sd, td) of ``_lift``.  Once the loop is exhausted, ``summary``
-    holds the tally and the largest overlap/bound ratio.
+        (d, e, r, q, threshold, bound, same, same_status, opp, opp_status)
+
+    with the bound cell None beyond the threshold.  Once the loop is
+    exhausted, ``summary`` holds the tally and the largest overlap/bound
+    ratio.
     """
     if not w.analytic and w.q_max < Q:
         raise ValueError(f"witness certified only up to {w.q_max} < Q={Q}")
@@ -355,38 +375,60 @@ def sweep_classes(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
     u2 = u * u
     # the threshold depends on d alone
     thresholds = [0, 0] + [vanish_threshold(w, d) for d in range(2, Q + 1)]
+
+    def words(word: str) -> dict[tuple[bool, bool], tuple[str, str]]:
+        # a (same, opp) verdict as the two statuses
+        return {(s, o): (word if s else "VIOLATION", word if o else "VIOLATION")
+                for s in (False, True) for o in (False, True)}
+
+    zero_words, bound_words = words("zero-confirmed"), words("bound-satisfied")
     tally = {"zero-confirmed": 0, "bound-satisfied": 0, "VIOLATION": 0}
     best_num, best_den = 0, 1     # max ov/bound so far, as a pair
-    for np_ in range(1, Q + 1):
-        for d in range(2, Q // np_ + 1):
+    pending: dict[tuple[int, int], tuple] = {}
+    for p in range(1, Q + 1):
+        for d in range(2, Q // p + 1):
             thr = thresholds[d]
-            q_norm = d * np_
-            pn = rho[q_norm]
-            bden = d * u2
-            du = d * u
+            q = d * p
             for e in range(1, d):
-                r_norm = e * np_
-                bnum, same, same_ok, opp, opp_ok = lemma3_class(
-                    d, pn, e, rho[r_norm], a, u, r_norm > thr)
-                m = lcm(d, e)
-                word = "zero-confirmed" if bnum is None else "bound-satisfied"
-                if bnum:
-                    # ov = raw/(m*u), so ov/bound = raw*d*u / (bnum*m)
-                    b_scaled = bnum * m
-                    n_scaled = max(same, opp) * du
-                    if n_scaled * best_den > best_num * b_scaled:
-                        best_num, best_den = n_scaled, b_scaled
-                s_same = word if same_ok else "VIOLATION"
-                s_opp = word if opp_ok else "VIOLATION"
+                r = e * p
+                last = gcd(d, e) == 1     # the pair's last class
+                if p > 1:
+                    rec = pending.pop((q, r)) if last else pending[q, r]
+                else:
+                    bnum, m, same, opp, zero_ok, bound_ok = lemma3_class(
+                        q, rho[q], r, rho[r], a, u)
+                    if cell is None:
+                        sc = oc = bc = None
+                    else:
+                        sc, oc = cell(same, m * u), cell(opp, m * u)
+                        bc = cell(bnum, q * u2)
+                    zw, bw = zero_words[zero_ok], bound_words[bound_ok]
+                    # ov/bound = (max(same, opp)/(m*u)) / (bnum/(q*u**2))
+                    # = max(same, opp)*q*u / (bnum*m), where the factor u,
+                    # common to every pair, is left out until the end
+                    ratio = (max(same, opp) * q, bnum * m) if bnum else None
+                    rec = (sc, oc, bc, zw, bw, ratio)
+                    if not last:
+                        # the ratio waits only for a class below the
+                        # threshold, and this one may already be
+                        pending[q, r] = (rec if r > thr
+                                         else (sc, oc, bc, zw, bw, None))
+                sc, oc, bc, zw, bw, ratio = rec
+                if r > thr:
+                    bc = None
+                    s_same, s_opp = zw
+                else:
+                    s_same, s_opp = bw
+                    if ratio and ratio[0] * best_den > best_num * ratio[1]:
+                        best_num, best_den = ratio
                 tally[s_same] += 1
                 tally[s_opp] += 1
-                yield (d, e, r_norm, q_norm, thr, bnum, bden, m * u,
-                       same, s_same, opp, s_opp)
+                yield d, e, r, q, thr, bc, sc, s_same, oc, s_opp
     summary.n_rows = sum(tally.values())
     summary.n_zero_confirmed = tally["zero-confirmed"]
     summary.n_bound_satisfied = tally["bound-satisfied"]
     summary.n_violations = tally["VIOLATION"]
-    summary.max_bound_ratio = Fraction(best_num, best_den)
+    summary.max_bound_ratio = Fraction(best_num * u, best_den)
 
 
 def vanishing_bound_sweep(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
@@ -395,25 +437,20 @@ def vanishing_bound_sweep(Q: int, psi: ApproxFunction, w: NonLiouvilleWitness,
                           ) -> tuple[list[SweepRow], SweepSummary]:
     """The rows and summary of ``sweep_classes``: two ``SweepRow``s per
     class, same sign first, each overlap and bound a Fraction.  With
-    ``collect_rows`` False the loop runs for its summary only and no row
-    Fraction is built.
+    ``collect_rows`` False the loop runs for its summary only and no cell
+    is made.
     """
     summary = SweepSummary()
-    classes = sweep_classes(Q, psi, w, gamma, scale_bits, summary)
+    classes = sweep_classes(Q, psi, w, gamma, scale_bits, summary,
+                            Fraction if collect_rows else None)
     rows: list[SweepRow] = []
     if not collect_rows:
         for _ in classes:
             pass
         return rows, summary
-    zero = Fraction(0)
-    for d, e, r, q, thr, bnum, bden, oden, same, s_same, opp, s_opp in classes:
-        bound = None if bnum is None else Fraction(bnum, bden)
-        rows.append(SweepRow(d, e, r, q, thr,
-                             Fraction(same, oden) if same else zero,
-                             bound, s_same, "same"))
-        rows.append(SweepRow(d, e, r, q, thr,
-                             Fraction(opp, oden) if opp else zero,
-                             bound, s_opp, "opp"))
+    for d, e, r, q, thr, bound, same, s_same, opp, s_opp in classes:
+        rows.append(SweepRow(d, e, r, q, thr, same, bound, s_same, "same"))
+        rows.append(SweepRow(d, e, r, q, thr, opp, bound, s_opp, "opp"))
     return rows, summary
 
 

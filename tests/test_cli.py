@@ -575,6 +575,15 @@ def test_sweep_bad_q_names_the_flag(tmp_path, capsys, q, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("gamma", ["sqrt:2", "liouville:3"])
+@pytest.mark.parametrize("terms, message", [
+    ("-3", "terms must be >= 0 (got '-3')"), ("abc", "bad terms 'abc'")])
+def test_cf_bad_terms_names_the_flag(tmp_path, capsys, gamma, terms, message):
+    code, body = run(tmp_path, "cf", "--gamma", gamma, "--terms", terms)
+    assert (code, body) == (EXIT_CONFIG, b"")
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 def test_cf_past_period_limit_exits_0(tmp_path):
     # the period of sqrt(100000000000031) is longer than cf_expand's limit,
     # so the period fields are null, but the quotients asked for come out

@@ -210,14 +210,15 @@ def class_verdict(q_vec, r_vec, psi, w):
     qn, rn = max(map(abs, q_vec)), max(map(abs, r_vec))
     pq, pr, shift = eval_psi(psi, qn), eval_psi(psi, rn), as_shift(SQRT2)
     u = lcm(pq.denominator, pr.denominator, shift.denominator)
-    bnum, same, same_ok, opp, opp_ok = lemma3_class(
+    bnum, m, same, opp, zero_ok, bound_ok = lemma3_class(
         d, pq.numerator * (u // pq.denominator), e,
         pr.numerator * (u // pr.denominator),
-        shift.numerator * (u // shift.denominator), u,
-        rn > vanish_threshold(w, d))
-    ov, ok = (same, same_ok) if s1 == s2 else (opp, opp_ok)
-    return (None if bnum is None else F(bnum, d * u * u),
-            F(ov, lcm(d, e) * u), ok)
+        shift.numerator * (u // shift.denominator), u)
+    vanishes = rn > vanish_threshold(w, d)
+    rel = s1 != s2
+    return (None if vanishes else F(bnum, d * u * u),
+            F((same, opp)[rel], m * u),
+            (zero_ok if vanishes else bound_ok)[rel])
 
 
 class TestLemma3Class:
@@ -243,10 +244,10 @@ class TestLemma3Class:
 
 
 # lemma3_class against the endpoint-sweep oracle at both relative signs and
-# against the bound written out in Fractions: d > e with d <= 30, radii k/48
-# (0 and 1/2 among them), rational shifts and the 192-bit floor of sqrt(2),
-# each class both below and beyond a threshold, over the least unit and a
-# multiple of it
+# against the bound written out in Fractions, both verdicts of each class
+# (zero and bound): d > e with d <= 30, radii k/48 (0 and 1/2 among them),
+# rational shifts and the 192-bit floor of sqrt(2), over the least unit and
+# a multiple of it
 LEMMA3_SHIFTS = [F(0), F(1, 2), F(1, 3), F(-5, 7), F(7, 12), as_shift(SQRT2)]
 
 
@@ -268,19 +269,14 @@ def test_lemma3_class_matches_oracles(shift):
                                               TorusSet1D(e, -shift, pr))
                 u = lcm(48, shift.denominator) * rng.choice((1, 3))
                 a = shift.numerator * (u // shift.denominator)
-                for vanishes in (True, False):
-                    bnum, same, same_ok, opp, opp_ok = lemma3_class(
-                        d, k1 * (u // 48), e, k2 * (u // 48), a, u, vanishes)
-                    assert F(same, lcm(d, e) * u) == same_ov
-                    assert F(opp, lcm(d, e) * u) == opp_ov
-                    if vanishes:
-                        assert bnum is None
-                        assert (same_ok, opp_ok) == (same_ov == 0,
-                                                     opp_ov == 0)
-                    else:
-                        assert F(bnum, d * u * u) == bound
-                        assert (same_ok, opp_ok) == (same_ov <= bound,
-                                                     opp_ov <= bound)
+                bnum, m, same, opp, zero_ok, bound_ok = lemma3_class(
+                    d, k1 * (u // 48), e, k2 * (u // 48), a, u)
+                assert m == lcm(d, e)
+                assert F(same, m * u) == same_ov
+                assert F(opp, m * u) == opp_ov
+                assert F(bnum, d * u * u) == bound
+                assert zero_ok == (same_ov == 0, opp_ov == 0)
+                assert bound_ok == (same_ov <= bound, opp_ov <= bound)
 
 
 SHIFTS = st.one_of(st.builds(F, st.integers(-12, 12), st.integers(1, 12)),
@@ -332,3 +328,40 @@ def test_integer_part_over_unreduced_denominators(d, e, n1, n2, s1, s2, c, k):
     assert plus == overlap_sweep_oracle(A, TorusSet1D(e, s2, t2))
     assert minus == overlap_sweep_oracle(A, TorusSet1D(e, -s2, t2))
     assert over(k * u) == (plus, minus)
+
+
+def test_kernel_shared_divisions_match_oracle():
+    """``overlap_1d_num`` at both signs against the endpoint sweep, on small
+    units where its shared divisions meet every case: a start z equal to
+    the remainder c_C of a ramp C (where both counts, with and without the
+    correction [z > c_C], are right, so the two must agree), t = 0, t = 1/2
+    (arcs that tile the circle), equal radii over the step (R1 = R2),
+    gcd(d, e) > 1 and negative shifts.  The cases met are checked too."""
+    rng = random.Random(33)
+    met = set()
+    for _ in range(3000):
+        u = rng.choice((2, 4, 6, 12))
+        d, e = rng.randint(1, 8), rng.randint(1, 8)
+        t1n = rng.randint(0, u // 2)
+        t2n = rng.randint(0, u // 2)
+        if rng.random() < 0.2:
+            e, t2n = d, t1n
+        an, bn = rng.randint(-3 * u, 3 * u), rng.randint(-3 * u, 3 * u)
+        plus, minus = overlap_1d_num(d, t1n, e, t2n, an, bn, u)
+        den = lcm(d, e) * u
+        A = TorusSet1D(d, F(an, u), F(t1n, u))
+        assert F(plus, den) == overlap_sweep_oracle(
+            A, TorusSet1D(e, F(bn, u), F(t2n, u)))
+        assert F(minus, den) == overlap_sweep_oracle(
+            A, TorusSet1D(e, F(-bn, u), F(t2n, u)))
+        S, R1, R2 = gcd(d, e) * u, t1n * e, t2n * d
+        for Y in (e * an - d * bn, e * an + d * bn):
+            z = (R1 + R2 - Y) % S
+            if z and z in {2 * (R1 + R2) % S, 2 * R1 % S, 2 * R2 % S}:
+                met.add("tie")
+        met.update(name for name, hit in (
+            ("t = 0", 0 in (t1n, t2n)), ("t = 1/2", u in (2 * t1n, 2 * t2n)),
+            ("R1 = R2", R1 == R2 > 0), ("gcd > 1", gcd(d, e) > 1 and d != e),
+            ("negative", an < 0 or bn < 0)) if hit)
+    assert met == {"tie", "t = 0", "t = 1/2", "R1 = R2", "gcd > 1",
+                   "negative"}

@@ -6,10 +6,10 @@ from math import gcd
 
 import pytest
 
-from kglab import variance
+from kglab import torus, variance
 from kglab.fixedpoint import DEFAULT_SCALE_BITS
 from kglab.lattice import LatticeVector, shell
-from kglab.psifunc import PowerLaw, TablePsi, eval_psi
+from kglab.psifunc import PowerLaw, TablePsi, Window, eval_psi
 from kglab.surd import QuadraticSurd
 from kglab.torus import (TorusSet1D, as_shift, measure_2d, overlap_1d_num,
                          overlap_2d, overlap_sweep_oracle)
@@ -337,6 +337,7 @@ def test_one_kernel_call_per_norm_pair(psi, monkeypatch):
     assert calls and all(t1n and t2n for _, t1n, _, t2n in calls)
 
 
+
 # Differential test of the sweep's integer rows against Fraction oracles.
 # An analytic witness that holds for sqrt(2) (no row beyond its threshold at
 # these Q), one with thresholds 1..36 that splits the rows, and a false one
@@ -408,6 +409,44 @@ def test_sweep_zero_psi_ties():
     assert summary.max_bound_ratio == 0
     assert vanishing_bound_sweep(1, TablePsi({}), w, SQRT2) == ([],
                                                                 SweepSummary())
+
+
+@pytest.mark.parametrize("psi", [
+    TablePsi({2: F(1, 3), 3: F(1, 7), 4: F(0), 6: F(1, 2), 9: F(1, 4),
+              10: F(2, 9)}),
+    PowerLaw(F(1, 4), F(1, 2)),
+    Window(PowerLaw(F(1, 4), F(1, 2)), 4, 9),
+], ids=["table", "root", "window"])
+def test_sweep_one_kernel_call_per_norm_pair(psi, monkeypatch):
+    # the sweep calls the kernel once per norm pair r < q with psi nonzero
+    # at both, at direction norm 1 where (d, e) = (q, r), however many
+    # classes the pair has; a pair with psi 0 at either norm has overlap 0
+    # and no call.  Every row's overlap is the oracle's
+    Q = 12
+    rho, a, u = _lift(psi, SQRT2, DEFAULT_SCALE_BITS, Q)
+    support = [n for n in range(1, Q + 1) if rho[n]]
+    calls = []
+
+    def kernel(d, t1n, e, t2n, an, bn, u):
+        calls.append((d, e))
+        assert (t1n, t2n, an, bn) == (rho[d], rho[e], a, a)
+        return overlap_1d_num(d, t1n, e, t2n, an, bn, u)
+
+    monkeypatch.setattr(torus, "overlap_1d_num", kernel)
+    w = SWEEP_WITNESSES["split"]
+    rows, summary = vanishing_bound_sweep(Q, psi, w, SQRT2)
+    assert sorted(calls) == [(q, r) for q in support for r in support
+                             if r < q]
+    if isinstance(psi, PowerLaw):
+        assert len(calls) == 66 == Q * (Q - 1) // 2
+    assert summary.n_rows == len(rows) == sum(
+        2 * (d - 1) for n in range(1, Q + 1) for d in range(2, Q // n + 1))
+    shift = as_shift(SQRT2)
+    for row in rows:
+        sign = 1 if row.rel == "same" else -1
+        assert row.overlap == overlap_sweep_oracle(
+            TorusSet1D(row.d, shift, eval_psi(psi, row.q)),
+            TorusSet1D(row.e, sign * shift, eval_psi(psi, row.r)))
 
 
 # Rows and summaries of lemma3-sweep's shape (psi = 1/16 q^-1/2, Q = 25)
