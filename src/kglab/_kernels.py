@@ -87,8 +87,12 @@ def count_python(m1: int, m2: int, mg: int, scale_bits: int,
     ``.sum()``.  numpy is imported here, off the kernel's import path.
 
     Each row q1 = +-n and column q2 = +-n is walked from its first vector,
-    v = q1*m1 + q2*m2 - mg mod 2**scale_bits, by adding m2 (along a row) or
-    m1 (along a column) mod 2**scale_bits per vector."""
+    v = q1*m1 + q2*m2 - mg mod M = 2**scale_bits, by adding m2 (along a row)
+    or m1 (along a column) mod M per vector.  The walk carries
+    w = v + T mod M, so that the score [v <= T] + [v >= M - T] is one
+    comparison: [w <= 2T] for T < M/2, and for T >= M/2, where every
+    vector scores, 1 + [w <= 2T - M], the second point for v in
+    [M - T, T]: at T = M/2 only the tie v = M/2 (w = 0) counts twice."""
     import numpy as np
 
     one = 1 << scale_bits
@@ -98,10 +102,16 @@ def count_python(m1: int, m2: int, mg: int, scale_bits: int,
 
     def walk(v: int, step: int, k: int, thr: int) -> int:
         # vectors v, v + step, ..., k of them, all mod one
-        c = 0
+        w, top, c = (v + thr) & mask, 2 * thr, 0
+        if top >= one:
+            top -= one
+            for _ in range(k):
+                c += 1 + (w <= top)
+                w = (w + step) & mask
+            return c
         for _ in range(k):
-            c += (v <= thr) + (one - v <= thr)
-            v = (v + step) & mask
+            c += w <= top
+            w = (w + step) & mask
         return c
 
     for n in range(1, Q + 1):

@@ -10,7 +10,8 @@ the arithmetic is exact, and has probability zero for sampled alpha.
 
 A count run evaluates psi once per q <= Q_max, in one ``CountTable`` built
 on ``psi_table``, the integers over one denominator td that the variance
-engine reads too.  The kernel reads its shell thresholds from it, and
+engine reads too; it takes psi as one integer pair per q and makes no
+Fraction per q.  The kernel reads its shell thresholds from it, and
 every report reads its terms from three integer prefix sums over td:
 sum q*psi, sum psi and sum sigma(q)*psi, with sigma from one divisor-sum
 sieve.  ``main_term`` and ``chi_term`` sum the same terms from
@@ -127,8 +128,8 @@ def chi_term(psi: ApproxFunction, Q: int) -> Fraction:
 class CountTable:
     """psi(q) for 1 <= q <= max(qs), evaluated once for a whole count run
     by ``psi_table`` as integers num[q] over one denominator td, the lcm of
-    the psi denominators (a power of two for the power laws, about
-    lcm(1..Q) for 1/q).
+    the reduced denominators of psi's integer pairs (2**GUARD_BITS for
+    q**(-3/4), about lcm(1..Q) for 1/q).
 
     ``thresholds[q]`` = floor(psi(q) * 2**scale_bits) = (num[q] <<
     scale_bits) // td are the kernel's shell thresholds, the values of

@@ -1,9 +1,13 @@
 """Approximation functions psi: N -> [0, 1/2] and derived scalar data.
 
-Every evaluation is an exact ``Fraction``.  Power laws with non-integer
-exponents are rounded *down* at ``GUARD_BITS`` fractional bits, which makes
-each membership test conservative in one documented direction and keeps
-counts reproducible across platforms.
+Each kind of psi gives psi(q) as an integer pair (n, d), psi(q) = n/d,
+from its one rule ``_raw``; the cap at 1/2 is one integer comparison
+(``_pair``).  ``eval_psi`` makes the pair one exact ``Fraction``, and
+``psi_table`` makes the pairs for q <= q_max integers over one denominator,
+with no Fraction per q.  Power laws with non-integer exponents are rounded
+*down* at ``GUARD_BITS`` fractional bits, which makes each membership test
+conservative in one documented direction and keeps counts reproducible
+across platforms.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 log = logging.getLogger(__name__)
 
@@ -45,12 +49,14 @@ def integer_nth_root(n: int, k: int) -> int:
 
 
 class ApproxFunction:
-    """Base class; subclasses implement ``_raw(q)`` returning a Fraction."""
+    """Base class; subclasses implement ``_raw(q)``, psi(q) before the cap
+    at 1/2 as an integer pair (n, d) with n >= 0 and d >= 1, not
+    necessarily in lowest terms."""
 
     def __call__(self, q: int) -> Fraction:
         return eval_psi(self, q)
 
-    def _raw(self, q: int) -> Fraction:
+    def _raw(self, q: int) -> tuple[int, int]:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -73,14 +79,15 @@ class PowerLaw(ApproxFunction):
         if self.a < 0:
             raise ValueError("exponent a must be >= 0")
 
-    def _raw(self, q: int) -> Fraction:
+    def _raw(self, q: int) -> tuple[int, int]:
+        """c0 / q**a for an integer a; otherwise c0 * t / 2**GUARD_BITS
+        with t = floor((2**(GUARD_BITS*den) // q**num) ** (1/den)) for
+        a = num/den, the largest t with t**den * q**num <= 2**(G*den)."""
         num, den = self.a.numerator, self.a.denominator
         if den == 1:
-            return self.c0 / Fraction(q) ** num
-        # q**(-a) ~ T / 2**GUARD with T = floor((2**(G*den) // q**num)**(1/den))
+            return self.c0.numerator, self.c0.denominator * q ** num
         t = integer_nth_root((1 << (GUARD_BITS * den)) // q ** num, den)
-        return Fraction(self.c0.numerator * t,
-                        self.c0.denominator << GUARD_BITS)
+        return self.c0.numerator * t, self.c0.denominator << GUARD_BITS
 
     def describe(self) -> str:
         return f"pow:{self.c0},{self.a}"
@@ -115,8 +122,9 @@ class TablePsi(ApproxFunction):
                 values[q] = v
         return cls(values)
 
-    def _raw(self, q: int) -> Fraction:
-        return self.values.get(q, Fraction(0))
+    def _raw(self, q: int) -> tuple[int, int]:
+        v = self.values.get(q)
+        return (0, 1) if v is None else (v.numerator, v.denominator)
 
     def describe(self) -> str:
         if not self.values:
@@ -131,8 +139,9 @@ class Clamp(ApproxFunction):
 
     inner: ApproxFunction
 
-    def _raw(self, q: int) -> Fraction:
-        return min(Fraction(1, 2 * q), eval_psi(self.inner, q))
+    def _raw(self, q: int) -> tuple[int, int]:
+        n, d = _pair(self.inner, q)
+        return (1, 2 * q) if 2 * q * n > d else (n, d)
 
     def describe(self) -> str:
         return f"clamp:{self.inner.describe()}"
@@ -150,35 +159,47 @@ class Window(ApproxFunction):
         if not 1 <= self.lo <= self.hi:
             raise ValueError("need 1 <= lo <= hi")
 
-    def _raw(self, q: int) -> Fraction:
-        if self.lo <= q <= self.hi:
-            return eval_psi(self.inner, q)
-        return Fraction(0)
+    def _raw(self, q: int) -> tuple[int, int]:
+        return _pair(self.inner, q) if self.lo <= q <= self.hi else (0, 1)
 
     def describe(self) -> str:
         return f"window:{self.lo},{self.hi},{self.inner.describe()}"
 
 
+def _pair(psi: ApproxFunction, q: int) -> tuple[int, int]:
+    """psi(q) as the integer pair of ``psi._raw(q)``, or (1, 2) where that
+    exceeds 1/2 (the first cap of a power law logged once)."""
+    n, d = psi._raw(q)
+    if 2 * n <= d:
+        return n, d
+    if not getattr(psi, "_cap_logged", True):
+        log.info("capping %s at 1/2 (first hit at q=%d)", psi.describe(), q)
+        psi._cap_logged = True
+    return 1, 2
+
+
 def eval_psi(psi: ApproxFunction, q: int) -> Fraction:
-    """Exact rational psi(q), capped at 1/2 (cap logged once per function)."""
+    """Exact rational psi(q), capped at 1/2: one Fraction from the integer
+    pair of ``_pair``."""
     if q < 1:
         raise ValueError(f"psi is defined on q >= 1 only (got q={q})")
-    v = psi._raw(q)
-    if v > HALF:
-        if not getattr(psi, "_cap_logged", True):
-            log.info("capping %s at 1/2 (first hit at q=%d)", psi.describe(), q)
-            psi._cap_logged = True
-        return HALF
-    return v
+    return Fraction(*_pair(psi, q))
 
 
 def psi_table(psi: ApproxFunction, q_max: int) -> tuple[list[int], int]:
-    """(num, td): psi(q) = num[q]/td for q = 1..q_max, one ``eval_psi``
-    per q, with td the lcm of the psi denominators (a power of two for the
-    power laws, about lcm(1..q_max) for 1/q) and num[0] = 0."""
-    vals = [eval_psi(psi, q) for q in range(1, q_max + 1)]
-    td = lcm(*(v.denominator for v in vals))
-    return [0] + [v.numerator * (td // v.denominator) for v in vals], td
+    """(num, td): psi(q) = num[q]/td for q = 1..q_max, from one integer pair
+    (n, d) per q (``_pair``), with num[0] = 0 and td the lcm of the reduced
+    denominators d // gcd(n, d) (a divisor of c0's denominator times
+    2**GUARD_BITS for a power law c0*q**(-a) with a fractional exponent,
+    about lcm(1..q_max) for 1/q): over the pairs that
+    share one d, that lcm is d // gcd(d, *ns), one running gcd per d.  Each
+    num[q] = n * td // d is exact, and no Fraction is made per q."""
+    pairs = [_pair(psi, q) for q in range(1, q_max + 1)]
+    g: dict[int, int] = {}
+    for n, d in pairs:
+        g[d] = gcd(g.get(d, d), n)
+    td = lcm(*(d // gd for d, gd in g.items()))
+    return [0] + [n * td // d for n, d in pairs], td
 
 
 def psi_mantissas(psi: ApproxFunction, q_max: int, scale_bits: int) -> list[int]:

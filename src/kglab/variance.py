@@ -20,8 +20,9 @@ with the whole shells and with each other are counted per norm pair too.
 A pair at which psi is 0 has overlap and product both 0 and is skipped.
 
 Overlaps have one representation, integers over one denominator.  The
-shift sn/sd and every psi(n), an integer over td, the lcm of the psi
-denominators (``psi_table``), are lifted once to the one unit
+shift sn/sd and every psi(n), an integer over td, the lcm of the reduced
+denominators of psi's integer pairs (``psi_table``, which makes no
+Fraction per n), are lifted once to the one unit
 u = lcm(sd, td) by ``_lift``.  One ``overlap_1d_num`` call gives a pair
 at both relative signs, each over (m/G)*(n/G)*u.  With L = lcm(1..Q), the
 variance sum scales each by L // ((m/G)*(n/G)) and multiplies the total

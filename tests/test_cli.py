@@ -575,6 +575,24 @@ def test_sweep_bad_q_names_the_flag(tmp_path, capsys, q, message):
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("psi, message", [
+    ("table:3=1/7,9=1/4",
+     "witness fitting reads (C, epsilon) off a power-law family psi"),
+    ("const:1/8", "psi must decay: power-law exponent a > 0 required")])
+def test_sweep_needs_a_decaying_power_law(tmp_path, capsys, psi, message):
+    # the witness is fitted to the power law that psi is, or wraps
+    code, body = run(tmp_path, "lemma3-sweep", "--psi", psi, "--Q", "12")
+    assert (code, body) == (EXIT_CONFIG, b"")
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("psi", ["window:3,9,pow:1/4,1/2",
+                                 "clamp:pow:1/4,1/2"])
+def test_sweep_reads_a_wrapped_power_law(tmp_path, psi):
+    code, body = run(tmp_path, "lemma3-sweep", "--psi", psi, "--Q", "12")
+    assert code == EXIT_OK and body
+
+
 @pytest.mark.parametrize("gamma", ["sqrt:2", "liouville:3"])
 @pytest.mark.parametrize("terms, message", [
     ("-3", "terms must be >= 0 (got '-3')"), ("abc", "bad terms 'abc'")])

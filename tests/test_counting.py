@@ -137,7 +137,9 @@ def test_kernel_matches_oracle_raw(args):
 @pytest.mark.parametrize("s", [64, 192])
 def test_shell_walk_matches_per_vector(s):
     # count_python steps along each row and column; here every vector of
-    # every shell is reduced on its own, gamma = 0, thresholds 0 and M/2
+    # every shell is reduced on its own and scored by two comparisons,
+    # gamma mantissa 0, M/2 (every v = M/2 when m1 = m2 = 0: ties at
+    # threshold M/2) and random, thresholds 0, M/2 and random
     M = 1 << s
     rng = random.Random(s)
     Q = 12
@@ -146,11 +148,14 @@ def test_shell_walk_matches_per_vector(s):
         for thresholds in ([0] * (Q + 1), [0] + [M // 2] * Q,
                            [0] + [rng.choice([0, M // 2, rng.randrange(M)])
                                   for _ in range(Q)]):
-            want = [0] + [sum((v <= thresholds[n]) + (M - v <= thresholds[n])
-                              for v in ((q1 * m1 + q2 * m2) % M
-                                        for q1, q2 in shell_coords(n)))
-                          for n in range(1, Q + 1)]
-            assert list(count_python(m1, m2, 0, s, thresholds, Q)) == want
+            for mg in (0, M // 2, rng.randrange(1, M)):
+                want = [0] + [sum((v <= thresholds[n])
+                                  + (M - v <= thresholds[n])
+                                  for v in ((q1 * m1 + q2 * m2 - mg) % M
+                                            for q1, q2 in shell_coords(n)))
+                              for n in range(1, Q + 1)]
+                assert list(count_python(m1, m2, mg, s, thresholds,
+                                         Q)) == want
 
 
 def test_incremental_shells_match_recount():

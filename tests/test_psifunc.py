@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import random
 from fractions import Fraction
@@ -7,9 +8,10 @@ import pytest
 
 from kglab.cli import parse_psi
 from kglab.counting import CountTable
-from kglab.psifunc import (Clamp, PowerLaw, TablePsi, Window, eval_psi,
-                           hausdorff_exponent, hausdorff_partial_sum,
-                           integer_nth_root, psi_mantissas, psi_table)
+from kglab.psifunc import (GUARD_BITS, Clamp, PowerLaw, TablePsi, Window,
+                           eval_psi, hausdorff_exponent,
+                           hausdorff_partial_sum, integer_nth_root,
+                           psi_mantissas, psi_table)
 
 HALF = Fraction(1, 2)
 
@@ -85,6 +87,35 @@ def test_cap_at_half_logged_once(caplog):
         assert eval_psi(psi, 1) == HALF
         assert eval_psi(psi, 1) == HALF
     assert sum("capping" in r.message for r in caplog.records) == 1
+
+
+@pytest.mark.parametrize("psi, q", [
+    (PowerLaw(HALF, Fraction(0)), 1),              # 1/2 at every q
+    (PowerLaw(Fraction(1), Fraction(1)), 2),       # 1/q
+    (PowerLaw(Fraction(1), Fraction(1, 2)), 4),    # 2**191 / 2**192
+    (PowerLaw(Fraction(2), Fraction(1, 2)), 16),   # 2 * 2**190 / 2**192
+    (PowerLaw(Fraction(1), Fraction(1, 4)), 16)])  # 2**191 / 2**192
+def test_exactly_half_is_not_capped(caplog, psi, q):
+    # psi(q) = 1/2 exactly passes the cap untouched: only a value above
+    # 1/2 is capped and logged
+    with caplog.at_level(logging.INFO, logger="kglab.psifunc"):
+        assert eval_psi(psi, q) == HALF
+        num, td = psi_table(Window(psi, q, q), q)
+        assert Fraction(num[q], td) == HALF
+    assert not any("capping" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("den", [2, 3, 4])
+def test_power_law_root_is_the_floor(den):
+    # the integer rule of q**(-num/den) is t / 2**G with t the largest
+    # integer such that t**den * q**num <= 2**(G*den)
+    top = 1 << GUARD_BITS * den
+    for num in (1, den - 1, den + 1, 2 * den + 1):
+        psi = PowerLaw(Fraction(1), Fraction(num, den))
+        for q in [*range(1, 80), 2 ** den, 3 ** den, 10 ** 6 + 3]:
+            t, d = psi._raw(q)
+            assert d == 1 << GUARD_BITS
+            assert t ** den * q ** num <= top < (t + 1) ** den * q ** num
 
 
 def test_rejects_bad_q():
@@ -215,3 +246,34 @@ def test_psi_table_matches_eval_psi(name):
         direct = [0] + [(v.numerator << s) // v.denominator for v in vals]
         assert psi_mantissas(psi, q_max, s) == direct
         assert CountTable(psi, [q_max], s).thresholds == direct
+
+
+# SHA-256 of repr(psi_table(psi, 500)), recorded from the Fraction rule
+# (one eval_psi Fraction per q, td the lcm of their denominators) that
+# the integer pairs replaced: KINDS, and spec strings for the power laws
+# of the commands, one capped at small q (pow:3,1/3), one with an integer
+# exponent above 1 and a constant
+PSI_TABLE_SHA256 = {
+    "pow": "c794d57d90bf52ab6a65d6363415bed3ae40b74ec17e150bc581a11745c3140f",
+    "pow-capped": "47adee63477f0a804ec688b63ff82e38bebe3373abd22c827de40e488b458764",
+    "half-over-q": "191107d7324ef91362be658f126c5a31ba367f96037cfa94f7ae1b8e55dd0ffe",
+    "const": "5b256e39f713dcf8f48d6bf11695ce7c812e13ecef9f5b4073a31311b21a8f5a",
+    "table": "173e0de0540411e140be3314e26f3748a43d438374714fafff0a5ea76a96cb65",
+    "empty-table": "995c3aeee5affd4661d14b710019dacd86bd0b14b978f9463e4866aced154481",
+    "clamp": "191107d7324ef91362be658f126c5a31ba367f96037cfa94f7ae1b8e55dd0ffe",
+    "window": "bb39f87e01a33dd821f3abac3c6b820944019620932cc4ce1c15cb23d8038865",
+    "window-clamp": "ad9f4df2b9f4fab93d34d7646593b519bb083b925753a8af7c855bb94e78a98f",
+    "pow:1,3/4": "47adee63477f0a804ec688b63ff82e38bebe3373abd22c827de40e488b458764",
+    "pow:1/4,1/2": "23b43fe1358e9cf305b3e9fb76d9879aab0f739fdb306d7ac9dd02b0f127fc5c",
+    "pow:1/16,1/2": "9e212c813ccc067a7dc5ae0fdbfb9a33d0891928bdc21cf2738c9ff9cb17a302",
+    "pow:3,1/3": "5063d9ec7104d9298ebef5e615811307668517609a2f7696714ef6f745f8d273",
+    "pow:1/3,2": "2757c04e4d7ae845df6a9bab7f07113ccab4f69efc5b4236fcd3518f02c17060",
+    "const:1/8": "9439a5f793dbfa83b1861d0d3c7ae52cb0be83e0609c50acc1759f01c37af8af",
+}
+
+
+@pytest.mark.parametrize("name", PSI_TABLE_SHA256)
+def test_psi_table_digest(name):
+    psi = KINDS[name] if name in KINDS else parse_psi(name)
+    digest = hashlib.sha256(repr(psi_table(psi, 500)).encode()).hexdigest()
+    assert digest == PSI_TABLE_SHA256[name]
