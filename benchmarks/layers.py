@@ -6,10 +6,13 @@ Counting layers, at --Q (default 2000) with psi = q^-3/4 and gamma = sqrt(2):
   table   ``CountTable``: psi evaluated once per q <= Q, the kernel
           thresholds and the integer prefix sums of the report terms;
           split into
-    psi   ``eval_psi`` for q <= Q (the power law's integer roots), and
-    rest  ``CountTable`` over a ``TablePsi`` of the same values, so that
-          psi is a dict lookup: the thresholds and the prefix sums;
-  kernel  the chain-walk kernel ``count_by_shell_raw``;
+    psi   the integer pairs (n, d) that ``psi_table`` takes, one
+          ``_pair`` per q <= Q (the power law's integer roots), and
+    rest  ``CountTable`` over a ``TablePsi`` of the same values, built
+          untimed, so that psi is a dict lookup: the thresholds and the
+          prefix sums;
+  kernel  the interval-walk kernel ``count_by_shell_raw``: one
+          ``chain_interval_count`` per shell segment;
   report  ``make_report`` at Q from the table.
 
 Variance layers, at Q // 10 (default 200) with psi = 1/4 q^-1/2 and
@@ -76,7 +79,7 @@ from kglab import cli
 from kglab._kernels import count_by_shell_raw, count_python
 from kglab.counting import CountTable, chi_term, main_term, make_report
 from kglab.lattice import LatticeVector, shell
-from kglab.psifunc import PowerLaw, TablePsi, eval_psi
+from kglab.psifunc import PowerLaw, TablePsi, _pair, eval_psi
 from kglab.rng import RngStream
 from kglab.surd import QuadraticSurd, surd_eval
 from kglab.torus import (TorusSet1D, as_shift, overlap_1d_num,
@@ -145,9 +148,9 @@ def count_layers(Q: int, repeats: int) -> tuple[dict, list[str]]:
     out = {}
     out["table_s"], table = best_of(
         repeats, lambda: CountTable(COUNT_PSI, [Q], SCALE))
-    out["psi_s"], vals = best_of(repeats, lambda: [
-        eval_psi(COUNT_PSI, q) for q in range(1, Q + 1)])
-    looked_up = TablePsi(dict(enumerate(vals, 1)))
+    out["psi_s"], pairs = best_of(repeats, lambda: [
+        _pair(COUNT_PSI, q) for q in range(1, Q + 1)])
+    looked_up = TablePsi({q: Fraction(*nd) for q, nd in enumerate(pairs, 1)})
     out["rest_s"], rest = best_of(
         repeats, lambda: CountTable(looked_up, [Q], SCALE))
     raw = (a1.mantissa, a2.mantissa, gamma, SCALE, table.thresholds)

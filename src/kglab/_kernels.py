@@ -4,13 +4,13 @@ The membership test ``||q1*a1 + q2*a2 - gamma|| <= psi(max(|q1|,|q2|))`` is
 integer arithmetic on mantissas mod M = 2**scale_bits: a vector with
 v = (q1*m1 + q2*m2 - mg) mod M scores [v <= T] + [v >= M - T and T > 0]
 against its shell threshold T, so a tie v = M/2 = T counts twice.
-``count_by_shell_raw`` counts each shell from floor sums of arithmetic
-progressions and returns the counts as a ``list[int]``.  A floor sum's
-Euclid-like reduction visits moduli that depend only on the step, and
-every progression of a trial steps by m1 or m2, so ``euclid_chain`` builds
-the two chains once per trial and ``chain_floor_sum`` walks one per
-progression: O(Q log M) big-integer steps.  ``count_python`` walks every
-vector and is the oracle.
+``count_by_shell_raw`` counts each shell from four arithmetic
+progressions and returns the counts as a ``list[int]``.  A progression's
+score is one count of the terms that fall in an interval mod M, and
+``chain_interval_count`` takes it in one Euclid-like walk whose moduli
+depend only on the step; every progression of a trial steps by m1 or m2,
+so ``moduli_chain`` builds the two chains once per trial: O(Q log M)
+big-integer steps.  ``count_python`` walks every vector and is the oracle.
 """
 
 from __future__ import annotations
@@ -21,33 +21,44 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def euclid_chain(m: int, a: int) -> list[tuple[int, int, int]]:
-    """The (m, a mod m, a // m) steps of the Euclid-like floor-sum reduction
-    from (m, a), for m >= 1 and a >= 0, up to the first zero remainder, where
-    every walk of ``chain_floor_sum`` returns."""
-    chain = []
-    while True:
-        q, r = divmod(a, m)
-        chain.append((m, r, q))
-        if r == 0:
-            return chain
-        m, a = r, m
+def moduli_chain(m: int, a: int) -> list[tuple[int, int]]:
+    """The moduli (m, a), (a, m mod a), ... of the Euclid walk from
+    0 <= a < m, up to and including the first pair with a = 0, where every
+    walk of ``chain_interval_count`` returns."""
+    chain = [(m, a)]
+    while a:
+        m, a = a, m % a
+        chain.append((m, a))
+    return chain
 
 
-def chain_floor_sum(chain: list[tuple[int, int, int]], n: int, b: int) -> int:
-    """sum_{i<n} floor((a*i + b) / m) for n, b >= 0, where (m, a) starts
-    ``chain``: the reduction of the AtCoder Library (atcoder/math.hpp),
-    with its steps on m and a read from the chain."""
+def chain_interval_count(chain: list[tuple[int, int]], n: int, b: int,
+                         c: int) -> int:
+    """#{0 <= k <= n : (a*k + b) mod m < c} for 0 <= b < m, 0 <= c <= m and
+    n >= 0, where (m, a) starts ``chain``.
+
+    The values a*k + b pass windows [j*m, j*m + c), j = 0..J with
+    J = (a*n + b) // m.  Window 0 holds the k <= (c - 1 - b) // a.  Window j
+    holds every k with a*k + b in it, less those past n in the top window.
+    With c = cq*a + c', each of windows 1..J holds cq such k plus one more
+    exactly when (m*j - 1 - b + c') mod a >= a - c', that is when
+    (m*(j - 1) + m - b - 1 + c') mod a < c': the same count one pair down
+    the chain, with n = J - 1, b = (m - b - 1 + c') mod a and c = c'."""
     total = 0
-    for m, a, q in chain:
-        total += n * (n - 1) // 2 * q
-        if b >= m:
-            t, b = divmod(b, m)
-            total += n * t
-        y_max = a * n + b
-        if y_max < m:
+    for m, a in chain:
+        if not a:
+            return total + n + 1 if c > b else total
+        if c > b:
+            total += min((c - 1 - b) // a, n) + 1
+        J, ry = divmod(a * n + b, m)
+        if not J:
             return total
-        n, b = divmod(y_max, m)
+        x = c - 1 - ry   # the top window's k past n: x // a of them
+        if x >= a:
+            total -= x // a
+        cq, c = divmod(c, a)
+        total += cq * J
+        n, b = J - 1, (m - b - 1 + c) % a
     return total
 
 
@@ -56,27 +67,28 @@ def count_by_shell_raw(m1: int, m2: int, mg: int, scale_bits: int,
     """Per-shell solution counts; index n holds the shell-n contribution.
 
     Shell n is the rows q1 = +-n (step m2, 2n+1 terms) and the columns
-    q2 = +-n (step m1, 2n-1 terms).  For K terms v_k = (b + a*k) mod M and
-    0 <= T < M, [v >= U] sums to f(b + M - U) - f(b) with
-    f(c) = sum_{k<K} floor((a*k + c) / M), so the score [v < T+1] +
-    [v >= M-T] sums to K + f(b + T) - f(b + M - T - 1).  Each f walks the
+    q2 = +-n (step m1, 2n-1 terms).  Against 0 <= T < M/2 a vector scores
+    [v <= T] + [v >= M-T] = [(v + T) mod M < 2T + 1], and against
+    M/2 <= T < M it scores 1 + [(v + T) mod M < 2T + 1 - M], which at
+    T = M/2 is the tie v = M/2 counted twice.  So each progression scores
+    one ``chain_interval_count`` (plus its length for T >= M/2), on the
     Euclid chain of its step, built once per call for m1 and for m2.
     """
     M = 1 << scale_bits
     m1, m2, mg = m1 % M, m2 % M, mg % M
-    rows, cols = euclid_chain(M, m2), euclid_chain(M, m1)
+    rows, cols = moduli_chain(M, m2), moduli_chain(M, m1)
     out = [0] * (Q + 1)
     for n in range(1, Q + 1):
         T = thresholds[n]
-        c = 0
-        for K, chain, b in ((2 * n + 1, rows, n * (m1 - m2) - mg),
-                            (2 * n + 1, rows, -n * (m1 + m2) - mg),
-                            (2 * n - 1, cols, (1 - n) * m1 + n * m2 - mg),
-                            (2 * n - 1, cols, (1 - n) * m1 - n * m2 - mg)):
-            b %= M
-            c += (K + chain_floor_sum(chain, K, b + T)
-                  - chain_floor_sum(chain, K, b + M - T - 1))
-        out[n] = c
+        c, total = 2 * T + 1, 0
+        if c > M:   # every one of the shell's 8n vectors scores
+            c, total = c - M, 8 * n
+        for last, chain, b in ((2 * n, rows, n * (m1 - m2) - mg),
+                               (2 * n, rows, -n * (m1 + m2) - mg),
+                               (2 * n - 2, cols, (1 - n) * m1 + n * m2 - mg),
+                               (2 * n - 2, cols, (1 - n) * m1 - n * m2 - mg)):
+            total += chain_interval_count(chain, last, (b + T) % M, c)
+        out[n] = total
     return out
 
 

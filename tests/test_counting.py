@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kglab import counting
-from kglab._kernels import (chain_floor_sum, count_by_shell_raw,
-                            count_python, euclid_chain)
+from kglab._kernels import (chain_interval_count, count_by_shell_raw,
+                            count_python, moduli_chain)
 from kglab.counting import (CountReport, CountTable, chi_term,
                             count_by_shell, count_solutions, main_term,
                             make_report, normalized_error)
@@ -15,7 +16,7 @@ from kglab.fixedpoint import FixedPoint, PrecisionError
 from kglab.lattice import divisors, phi, shell_coords, tau
 from kglab.psifunc import (Clamp, PowerLaw, TablePsi, Window, eval_psi,
                            psi_mantissas)
-from kglab.rng import RngStream
+from kglab.rng import RngStream, derive_seed
 from kglab.surd import QuadraticSurd, surd_eval
 
 SQRT2 = QuadraticSurd.sqrt(2)
@@ -24,7 +25,7 @@ PSI_34 = PowerLaw(F(1), F(3, 4))
 
 # N(alpha, 500) for gamma = sqrt2, psi = q^(-3/4), seed-0 alpha; frozen
 # after the shell-walk oracle and two independent vector-sweep kernels
-# agreed at scales 192 and 256 (the independent recount); the chain-walk
+# agreed at scales 192 and 256 (the independent recount); the interval-walk
 # kernel must reproduce it
 GOLDEN_Q500_SEED0 = 30259
 
@@ -90,38 +91,43 @@ def test_kernel_matches_oracle_on_ties_and_windows():
 
 
 @st.composite
-def floor_sum_args(draw):
-    """(n, m, a, b) for sum_{i<n} floor((a*i + b) / m): moduli of any
-    form, a at 0 and m - 1 and beyond m, b below and beyond m, n at 0, 1."""
+def interval_count_args(draw):
+    """(n, m, a, b, c) for #{0 <= k <= n : (a*k + b) mod m < c}: small and
+    130-bit moduli, a and b at 0, at m - 1 and anywhere below m, c at 0, 1,
+    m - 1, m and anywhere in [0, m], n at 0, 1 and up to 60."""
     m = draw(st.one_of(st.integers(1, 50), st.integers(1, 1 << 130)))
-    a = draw(st.one_of(st.sampled_from([0, m - 1, m, m + 1]),
-                       st.integers(0, 3 * m)))
-    b = draw(st.one_of(st.integers(0, m - 1), st.integers(m, 5 * m)))
+    a = draw(st.one_of(st.sampled_from([0, m - 1]), st.integers(0, m - 1)))
+    b = draw(st.one_of(st.sampled_from([0, m - 1]), st.integers(0, m - 1)))
+    c = draw(st.one_of(st.sampled_from([0, 1, m - 1, m]),
+                       st.integers(0, m)))
     n = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 60)))
-    return n, m, a, b
+    return n, m, a, b, c
 
 
-@settings(max_examples=300, deadline=None)
-@given(floor_sum_args())
-@example((0, 7, 3, 2))
-@example((1, 12, 0, 30))
-@example((25, 12, 11, 13))
-@example((40, 3 * 2 ** 64 + 1, 3 * 2 ** 64, 2 ** 70))
-def test_chain_walk_matches_direct_sum(args):
-    n, m, a, b = args
-    assert (chain_floor_sum(euclid_chain(m, a), n, b)
-            == sum((a * i + b) // m for i in range(n)))
+@settings(max_examples=400, deadline=None)
+@given(interval_count_args())
+@example((0, 7, 3, 2, 5))
+@example((12, 12, 0, 11, 12))
+@example((25, 12, 11, 0, 1))
+@example((7, 10, 3, 0, 5))   # top window [20, 25) holds k = 7 and k = 8 > n
+@example((40, 3 * 2 ** 64 + 1, 3 * 2 ** 64, 2 ** 65, 2 ** 64))
+def test_interval_walk_matches_direct_count(args):
+    n, m, a, b, c = args
+    assert (chain_interval_count(moduli_chain(m, a), n, b, c)
+            == sum((a * k + b) % m < c for k in range(n + 1)))
 
 
 @st.composite
 def raw_sweeps(draw):
     """Raw kernel inputs biased to ties: mantissas at 0, M/4, M/2, 5M/8 and
-    thresholds 0 and M/2, at scales that are not all multiples of 32."""
+    thresholds 0, M/2 - 1 and M/2, at scales that are not all multiples of
+    32."""
     s = draw(st.sampled_from([64, 80, 96, 128, 192]))
     M = 1 << s
     mantissa = st.one_of(st.sampled_from([0, M // 4, M // 2, 5 * M // 8]),
                          st.integers(0, M - 1))
-    threshold = st.one_of(st.sampled_from([0, M // 8, M // 4, M // 2]),
+    threshold = st.one_of(st.sampled_from([0, M // 8, M // 4, M // 2 - 1,
+                                           M // 2]),
                           st.integers(0, M // 2))
     Q = draw(st.integers(1, 25))
     return (draw(mantissa), draw(mantissa), draw(mantissa), s,
@@ -132,6 +138,47 @@ def raw_sweeps(draw):
 @given(raw_sweeps())
 def test_kernel_matches_oracle_raw(args):
     assert np.array_equal(count_by_shell_raw(*args), count_python(*args))
+
+
+# SHA-256 of repr(count_by_shell_raw(...)) at Q = 2000, gamma = sqrt 2, for
+# the alpha of RngStream(derive_seed(s, 0)), s = 0..5; recorded from the
+# earlier kernel, which scored each progression as two floor sums
+KERNEL_DIGESTS_Q2000 = [
+    (PSI_34, [
+        "e1152b88f67680b819c436db7734cb84fbaff775d42f9e1f6814cb8d99196aee",
+        "2ce0e0f94b5c5e2e03cebf82a301f1583a058a09ebce2a9baa6b4a6954107c44",
+        "c0fa78b2348730a99c54d0d996473a2546b5ec2cb92eb2929522c6a6342b72bc",
+        "9659f2da1190f9cce6bc32647ca3a384bd627f905e6c7e04a5e57f8d20545139",
+        "38aece2fe0165e37cc79a612b8ab49fefdc5d55495edf4479822cd00b5a8f384",
+        "dbb0aa314786c78213dc59d036877ce5ce88b0110aa4aa4cdd538927f445a62f",
+    ]),
+    (PowerLaw(F(1, 4), F(1, 2)), [
+        "0a5864a66c5b49c3f2b2b1f910768142dc81a505bc0bccd00789995955b4babc",
+        "f5122d8ba3c38466aa66b641d3c689274905535170262a5c6ffe2341be137276",
+        "cdaff6af9ff67fe095e746a0582c723f66a56c92733707a9194f83c73e1b0682",
+        "acd2f6d315e26a825f149ea4736eb1b9966646e425a6d857d77b0cf932005ebf",
+        "2baac4e35dc6eb93da34d0ee494c3e92d499685a428c5913fa7031e200f3cbfe",
+        "5e36ad685be1944aba41af9edf1b863659d9c65e3802bd526ac2086254957a8a",
+    ]),
+    (PSI_HALF, 6 * [
+        "0a648e8e6f03fbbf4da10956dafbd0283fbdd590f3b362138cdd41a63d40a1c8",
+    ]),
+]
+
+
+@pytest.mark.parametrize("psi, digests", KERNEL_DIGESTS_Q2000,
+                         ids=[p.describe() for p, _ in KERNEL_DIGESTS_Q2000])
+def test_kernel_digests_at_q2000(psi, digests):
+    Q, s = 2000, 192
+    mg = surd_eval(SQRT2, 1, s).mantissa
+    thresholds = psi_mantissas(psi, Q, s)
+    got = []
+    for seed in range(6):
+        a1, a2 = RngStream(derive_seed(seed, 0)).sample_torus_point(s)
+        counts = count_by_shell_raw(a1.mantissa, a2.mantissa, mg, s,
+                                    thresholds, Q)
+        got.append(hashlib.sha256(repr(counts).encode()).hexdigest())
+    assert got == digests
 
 
 @pytest.mark.parametrize("s", [64, 192])
